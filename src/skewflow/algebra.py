@@ -17,10 +17,10 @@ over *ordered* index pairs, so each unordered pair (i, j) contributes twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import minimize_scalar
+from scipy.linalg import svd
 
 __all__ = [
     "StructureTensor",
@@ -35,7 +35,6 @@ __all__ = [
     "derivation_algebra",
     "structure_invariants",
     "direct_sum",
-    "tune_direct_sum_scale",
     "semidirect_extension",
     "hermitian_part",
     "commutator",
@@ -173,13 +172,17 @@ def delta(mu: StructureTensor, a: np.ndarray) -> StructureTensor:
     Derivations of mu are exactly the kernel; delta_mu(I) = mu.
     """
     a = np.asarray(a, dtype=complex)
-    c = mu.coeff
     if a.shape != (mu.dim, mu.dim):
         raise ValueError("matrix dimension must match tensor dimension")
+    return StructureTensor(_delta_coeff(mu.coeff, a))
+
+
+def _delta_coeff(c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Array kernel of delta on a coefficient array c (no antisymmetrization)."""
     t1 = np.einsum("pi,pjk->ijk", a, c)
     t2 = np.einsum("pj,ipk->ijk", a, c)
     t3 = np.einsum("kr,ijr->ijk", a, c)
-    return StructureTensor(t1 + t2 - t3)
+    return t1 + t2 - t3
 
 
 def delta_star(mu: StructureTensor, lam: StructureTensor) -> np.ndarray:
@@ -212,16 +215,59 @@ def _hermitian_param_basis(n: int) -> np.ndarray:
     return basis
 
 
-@dataclass(frozen=True)
+def _delta_operator(c: np.ndarray) -> np.ndarray:
+    """Matrix (n^3, n^2) of A -> delta(A) on flattened arrays."""
+    n = c.shape[0]
+    eye = np.eye(n)
+    # delta(E_uv)[i,j,k] = d(i,v) c[u,j,k] + d(j,v) c[i,u,k] - d(k,u) c[i,j,v]
+    m1 = np.einsum("iv,ujk->ijkuv", eye, c)
+    m2 = np.einsum("jv,iuk->ijkuv", eye, c)
+    m3 = np.einsum("ku,ijv->ijkuv", eye, c)
+    return (m1 + m2 - m3).reshape(n**3, n**2)
+
+
+def _null_rows(m: np.ndarray, rcond: float) -> np.ndarray:
+    """Orthonormal rows spanning the kernel of a tall matrix m.
+
+    Singular values at or below rcond * max(s) count as zero, the threshold
+    of scipy.linalg.null_space; the economy SVD skips the unused left
+    singular vectors.
+    """
+    _, s, vh = svd(m, full_matrices=False)
+    rank = int(np.sum(s > np.amax(s, initial=0.0) * rcond))
+    return vh[rank:].conj()
+
+
 class DerivationBasis:
     """Orthonormal bases of the derivation algebra of a tensor.
 
-    complex_basis spans Der(mu) over C; hermitian_basis spans the real
-    subspace of hermitian derivations.  Shapes: (dim, n, n).
+    complex_basis spans Der(mu) over C, orthonormal for the Frobenius
+    product; hermitian_basis spans the real subspace of hermitian
+    derivations, orthonormal in the real coordinates of
+    _hermitian_param_basis.  Shapes: (dim, n, n).  Each basis is computed
+    from the matrix of A -> delta_mu(A) on first access and then cached.
     """
 
-    complex_basis: np.ndarray
-    hermitian_basis: np.ndarray
+    def __init__(self, mu: StructureTensor, tol: float = DEFAULT_NULLSPACE_TOL):
+        self._operator = _delta_operator(mu.coeff)
+        self._n = mu.dim
+        self._tol = tol
+
+    @cached_property
+    def complex_basis(self) -> np.ndarray:
+        n = self._n
+        return _null_rows(self._operator, self._tol).reshape(-1, n, n)
+
+    @cached_property
+    def hermitian_basis(self) -> np.ndarray:
+        # hermiticity is only R-linear: solve over R on n^2 real parameters
+        n = self._n
+        herm = _hermitian_param_basis(n).reshape(n * n, n * n)
+        img = self._operator @ herm.T  # column p = delta_mu(herm[p]), flattened
+        rows = _null_rows(np.concatenate([img.real, img.imag]), self._tol)
+        basis = (rows @ herm).reshape(-1, n, n)
+        # re-exactify hermiticity against rounding
+        return 0.5 * (basis + np.conj(basis.transpose(0, 2, 1)))
 
     @property
     def dim_complex(self) -> int:
@@ -237,35 +283,10 @@ def derivation_algebra(
 ) -> DerivationBasis:
     """Nullspace of A -> delta_mu(A), by singular-value thresholding.
 
-    Returns both the complex derivation algebra and a real orthonormal basis
-    of its hermitian part (computed over R on n^2 real parameters, since
-    hermiticity is only R-linear).
+    Gives both the complex derivation algebra and a real orthonormal basis
+    of its hermitian part; each is computed when first read.
     """
-    n = mu.dim
-    c = mu.coeff
-    eye = np.eye(n)
-    # delta(E_uv)[i,j,k] = d(i,v) c[u,j,k] + d(j,v) c[i,u,k] - d(k,u) c[i,j,v]
-    m1 = np.einsum("iv,ujk->ijkuv", eye, c)
-    m2 = np.einsum("jv,iuk->ijkuv", eye, c)
-    m3 = np.einsum("ku,ijv->ijkuv", eye, c)
-    m = (m1 + m2 - m3).reshape(n**3, n**2)
-    ns = null_space(m, rcond=tol)  # orthonormal columns = flattened derivations
-    complex_basis = np.ascontiguousarray(ns.T).reshape(-1, n, n)
-
-    # Hermitian part: real-linear system on n^2 real parameters.
-    herm = _hermitian_param_basis(n)
-    cols = []
-    for h in herm:
-        img = delta(mu, h).coeff.ravel()
-        cols.append(np.concatenate([img.real, img.imag]))
-    mreal = np.array(cols).T  # (2 n^3, n^2) real
-    nsr = null_space(mreal, rcond=tol)
-    hermitian_basis = np.einsum("pc,pij->cij", nsr, herm)
-    # re-exactify hermiticity against rounding
-    hermitian_basis = 0.5 * (
-        hermitian_basis + np.conj(hermitian_basis.transpose(0, 2, 1))
-    )
-    return DerivationBasis(complex_basis=complex_basis, hermitian_basis=hermitian_basis)
+    return DerivationBasis(mu, tol)
 
 
 def _subspace_span(vectors: np.ndarray, tol: float) -> np.ndarray:
@@ -364,23 +385,6 @@ def direct_sum(mu: StructureTensor, lam: StructureTensor, c: float = 1.0) -> Str
     out[:n, :n, :n] = mu.coeff
     out[n:, n:, n:] = c * lam.coeff
     return StructureTensor(out)
-
-
-def tune_direct_sum_scale(mu: StructureTensor, lam: StructureTensor) -> float:
-    """Scale c > 0 minimizing the criticality residual of mu (+) c*lam.
-
-    One-dimensional search; useful when both summands are critical and a
-    critical direct sum is expected at some relative scaling.
-    """
-    from .moment import criticality  # local import, avoids a cycle
-
-    def resid(logc: float) -> float:
-        return criticality(direct_sum(mu, lam, float(np.exp(logc)))).residual
-
-    res = minimize_scalar(
-        resid, bounds=(-6.0, 6.0), method="bounded", options={"xatol": 1e-12}
-    )
-    return float(np.exp(res.x))
 
 
 def semidirect_extension(

@@ -1,6 +1,6 @@
 """Named example brackets with known flow-limit metadata.
 
-Covers the seventeen four-dimensional families (C4, n3+C, r2+C2, r3+C,
+Covers the sixteen four-dimensional families (C4, n3+C, r2+C2, r3+C,
 r3l+C, r2+r2, sl2+C, n4, g1..g8), the Heisenberg-type bracket mu_he and the
 diagonal-action bracket mu_hy in any dimension, rank-one extensions mu_A of
 a matrix acting on an abelian ideal, block normal forms of nilpotent

@@ -19,9 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import StructureTensor, delta, hermitian_part
+from .algebra import StructureTensor, _delta_coeff, hermitian_part
 from .classify import CriticalType, TypeExtractionError, extract_type
-from .moment import CriticalReport, criticality, moment_map
+from .moment import CriticalReport, _moment_coeff, criticality
 
 __all__ = [
     "FlowParams",
@@ -87,21 +87,6 @@ class _State(NamedTuple):
     g_amb: np.ndarray  # ambient gradient of tr(R^2)
     g_tan: np.ndarray  # tangential component at mu
     gnorm: float
-
-
-def _delta_coeff(c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    t1 = np.einsum("pi,pjk->ijk", a, c)
-    t2 = np.einsum("pj,ipk->ijk", a, c)
-    t3 = np.einsum("kr,ijr->ijk", a, c)
-    return t1 + t2 - t3
-
-
-def _moment_coeff(c: np.ndarray) -> np.ndarray:
-    cbar = np.conj(c)
-    r = -4.0 * np.einsum("pij,rij->rp", c, cbar) + 2.0 * np.einsum(
-        "ijp,ijr->rp", cbar, c
-    )
-    return hermitian_part(r)
 
 
 def _polarized_moment(c: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -42,7 +42,11 @@ __all__ = [
 
 def moment_map(mu: StructureTensor) -> np.ndarray:
     """Hermitian moment-map matrix of mu; tr = -2||mu||^2."""
-    c = mu.coeff
+    return _moment_coeff(mu.coeff)
+
+
+def _moment_coeff(c: np.ndarray) -> np.ndarray:
+    """Array kernel of moment_map on a coefficient array c."""
     cbar = np.conj(c)
     r = -4.0 * np.einsum("pij,rij->rp", c, cbar) + 2.0 * np.einsum(
         "ijp,ijr->rp", cbar, c

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
+import skewflow.algebra as algebra
 from skewflow import (
     StructureTensor,
+    all_entries,
     act,
     bracket_eval,
     commutator,
+    criticality,
     delta,
     delta_star,
     derivation_algebra,
@@ -14,7 +18,9 @@ from skewflow import (
     hermitian_part,
     inner_product,
     jacobi_residual,
+    mu_A,
     mu_he,
+    nilpotent_normal_form,
     random_tensor,
     semidirect_extension,
     sl2_compact,
@@ -166,6 +172,108 @@ class TestDerivations:
         ders = derivation_algebra(mu)
         for amat in ders.complex_basis:
             assert delta(mu, amat).norm() <= 1e-9 * mu.norm()
+
+
+# (dim_complex, dim_hermitian) of the derivation algebra, recorded with the
+# full-SVD scipy.linalg.null_space implementation at rcond 1e-9.
+ENTRY_DIMS = {
+    "C4": (16, 16), "n3+C": (10, 5), "r2+C2": (8, 5), "r3+C": (6, 2),
+    "r3l+C": (6, 3), "r2+r2": (4, 2), "sl2+C": (4, 2), "n4": (7, 2),
+    "g1": (8, 5), "g2": (6, 1), "g3": (6, 1), "g4": (6, 3), "g5": (8, 2),
+    "g6": (7, 4), "g7": (5, 2), "g8": (5, 1),
+    "mu_he": (10, 5), "mu_hy": (12, 9), "sl2_compact": (3, 3),
+}
+PARTITION_DIMS = {
+    (1,): (6, 4), (1, 1): (13, 5), (1, 1, 1): (25, 10),
+    (1, 1, 1, 1): (41, 17), (1, 1, 1, 1, 1): (61, 26),
+    (1, 1, 1, 1, 1, 1): (85, 37), (2,): (7, 2), (2, 1): (15, 3),
+    (2, 1, 1): (27, 6), (2, 1, 1, 1): (43, 11), (2, 1, 1, 1, 1): (63, 18),
+    (2, 2): (19, 5), (2, 2, 1): (31, 6), (2, 2, 1, 1): (47, 9),
+    (2, 2, 2): (37, 10), (3,): (9, 2), (3, 1): (17, 3), (3, 1, 1): (29, 6),
+    (3, 1, 1, 1): (45, 11), (3, 2): (21, 3), (3, 2, 1): (33, 4),
+    (3, 3): (25, 5), (4,): (11, 2), (4, 1): (19, 3), (4, 1, 1): (31, 6),
+    (4, 2): (23, 3), (5,): (13, 2), (5, 1): (21, 3), (6,): (15, 2),
+}
+RANDOM_DIMS = {3: (1, 0), 4: (0, 0), 5: (0, 0), 6: (0, 0), 7: (0, 0), 8: (0, 0)}
+
+
+def _pinned_inputs():
+    for e in all_entries():
+        yield e.name, e.tensor, ENTRY_DIMS[e.name]
+    for p, dims in PARTITION_DIMS.items():
+        yield str(p), mu_A(nilpotent_normal_form(p)).tensor, dims
+    for n, dims in RANDOM_DIMS.items():
+        for seed in (0, 1):
+            yield f"random({n},{seed})", random_tensor(n, seed), dims
+
+
+def _param_coords(h):
+    """Coordinates of a hermitian matrix in the parameter basis of derivation_algebra."""
+    n = h.shape[0]
+    out = [h[i, i].real for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            out += [h[i, j].real, h[i, j].imag]
+    return np.array(out)
+
+
+class TestDerivationDims:
+    def test_tables_cover_every_input(self):
+        assert set(ENTRY_DIMS) == {e.name for e in all_entries()}
+        assert len(PARTITION_DIMS) == 29  # every partition of size <= 6
+
+    def test_pinned_dimensions_and_bases(self):
+        for name, mu, dims in _pinned_inputs():
+            if not mu.is_zero():
+                nu = derivation_algebra(mu.normalized())
+                assert (nu.dim_complex, nu.dim_hermitian) == dims, name
+            ders = derivation_algebra(mu)
+            assert (ders.dim_complex, ders.dim_hermitian) == dims, name
+            n = mu.dim
+            flat = ders.complex_basis.reshape(-1, n * n)
+            assert np.allclose(flat @ flat.conj().T, np.eye(len(flat)), atol=1e-12), name
+            coords = np.array([_param_coords(h) for h in ders.hermitian_basis])
+            coords = coords.reshape(-1, n * n)
+            assert np.allclose(coords @ coords.T, np.eye(len(coords)), atol=1e-12), name
+            bound = 1e-12 * max(mu.norm(), 1.0)
+            for dmat in (*ders.complex_basis, *ders.hermitian_basis):
+                assert delta(mu, dmat).norm() <= bound, name
+            for dmat in ders.hermitian_basis:
+                assert np.array_equal(dmat, dmat.conj().T), name
+
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            mu_A(nilpotent_normal_form((1, 1, 1, 1, 1, 1))).tensor,  # n = 13
+            mu_A(nilpotent_normal_form((3, 2))).tensor,
+            random_tensor(8, seed=0),
+        ],
+        ids=["partition-n13", "partition-n8", "random-n8"],
+    )
+    def test_nullity_matches_null_space(self, mu):
+        m = algebra._delta_operator(mu.coeff)
+        nullity = algebra._null_rows(m, algebra.DEFAULT_NULLSPACE_TOL).shape[0]
+        assert nullity == null_space(m, rcond=1e-9).shape[1]
+
+    def test_bases_built_on_demand(self, monkeypatch):
+        kinds = []
+        real_null_rows = algebra._null_rows
+
+        def counting(m, rcond):
+            kinds.append("hermitian" if np.isrealobj(m) else "complex")
+            return real_null_rows(m, rcond)
+
+        mu = dim4_family("g6").tensor  # the catalog computes flags eagerly
+        monkeypatch.setattr(algebra, "_null_rows", counting)
+        criticality(mu)
+        assert kinds == ["hermitian"]
+        kinds.clear()
+        structure_invariants(mu)
+        assert kinds == ["complex"]
+        kinds.clear()
+        ders = derivation_algebra(mu)
+        ders.dim_complex, ders.complex_basis, ders.dim_hermitian
+        assert kinds == ["complex", "hermitian"]  # each basis computed once
 
 
 def test_structure_invariants_flags():
