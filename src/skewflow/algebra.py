@@ -44,8 +44,8 @@ DEFAULT_NULLSPACE_TOL = 1e-9
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Exactly hermitian symmetrization (A + A*)/2."""
-    return 0.5 * (a + a.conj().T)
+    """Exactly hermitian symmetrization (A + A*)/2, of each matrix in a stack."""
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -178,10 +178,15 @@ def delta(mu: StructureTensor, a: np.ndarray) -> StructureTensor:
 
 
 def _delta_coeff(c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Array kernel of delta on a coefficient array c (no antisymmetrization)."""
-    t1 = np.einsum("pi,pjk->ijk", a, c)
-    t2 = np.einsum("pj,ipk->ijk", a, c)
-    t3 = np.einsum("kr,ijr->ijk", a, c)
+    """Array kernel of delta on a coefficient array c (no antisymmetrization).
+
+    Leading batch axes of c or a broadcast; only a batch is worth routing
+    through BLAS, a single call is faster in plain einsum.
+    """
+    opt = c.ndim > 3 or a.ndim > 2
+    t1 = np.einsum("...pi,...pjk->...ijk", a, c, optimize=opt)
+    t2 = np.einsum("...pj,...ipk->...ijk", a, c, optimize=opt)
+    t3 = np.einsum("...kr,...ijr->...ijk", a, c, optimize=opt)
     return t1 + t2 - t3
 
 
@@ -216,24 +221,31 @@ def _hermitian_param_basis(n: int) -> np.ndarray:
 
 
 def _delta_operator(c: np.ndarray) -> np.ndarray:
-    """Matrix (n^3, n^2) of A -> delta(A) on flattened arrays."""
+    """Matrix (n^2 (n-1)/2 * n, n^2) of A -> delta(A), rows (i < j, k).
+
+    delta(A) is antisymmetric in (i, j), so its i > j rows are the negatives
+    of the i < j ones and its i = j rows vanish; dropping them scales every
+    singular value by 1/sqrt(2) and leaves the kernel unchanged.
+    """
     n = c.shape[0]
     eye = np.eye(n)
+    iu, ju = np.triu_indices(n, k=1)
     # delta(E_uv)[i,j,k] = d(i,v) c[u,j,k] + d(j,v) c[i,u,k] - d(k,u) c[i,j,v]
-    m1 = np.einsum("iv,ujk->ijkuv", eye, c)
-    m2 = np.einsum("jv,iuk->ijkuv", eye, c)
-    m3 = np.einsum("ku,ijv->ijkuv", eye, c)
-    return (m1 + m2 - m3).reshape(n**3, n**2)
+    m1 = np.einsum("pv,upk->pkuv", eye[iu], c[:, ju])
+    m2 = np.einsum("pv,puk->pkuv", eye[ju], c[iu])
+    m3 = np.einsum("ku,pv->pkuv", eye, c[iu, ju])
+    return (m1 + m2 - m3).reshape(len(iu) * n, n * n)
 
 
 def _null_rows(m: np.ndarray, rcond: float) -> np.ndarray:
-    """Orthonormal rows spanning the kernel of a tall matrix m.
+    """Orthonormal rows spanning the kernel of a matrix m.
 
     Singular values at or below rcond * max(s) count as zero, the threshold
-    of scipy.linalg.null_space; the economy SVD skips the unused left
-    singular vectors.
+    of scipy.linalg.null_space.  A tall m gets the economy SVD, which skips
+    the unused left singular vectors; a wide one (n <= 2) needs the full
+    right factor, whose extra rows are kernel vectors too.
     """
-    _, s, vh = svd(m, full_matrices=False)
+    _, s, vh = svd(m, full_matrices=m.shape[0] < m.shape[1])
     rank = int(np.sum(s > np.amax(s, initial=0.0) * rcond))
     return vh[rank:].conj()
 

@@ -7,7 +7,9 @@ acceptance and halves on rejection.  Once the descent reaches the rounding
 floor of the energy comparison — detected as a run of accepted steps with no
 measurable decrease — a Newton polish of the stationarity equation sharpens
 the limit, using the exact second derivative assembled from the quadratic
-polarization of the moment map.  Convergence is decided by the criticality
+polarization of the moment map.  The polish solves over the antisymmetric
+tensors, n^2 (n-1) real unknowns (448 at n = 8), not over all 2 n^3 real
+coordinates of an (n, n, n) array.  Convergence is decided by the criticality
 residual of the final point, which is what certifies membership in a
 critical set; converged limits are labeled by their extracted type.
 """
@@ -90,13 +92,16 @@ class _State(NamedTuple):
 
 
 def _polarized_moment(c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Directional derivative of the moment map at c along v."""
+    """Directional derivative of the moment map at c along v.
+
+    Meant for a stack of directions v, shape (..., n, n, n).
+    """
     cbar, vbar = np.conj(c), np.conj(v)
     r = (
-        -4.0 * np.einsum("pij,rij->rp", v, cbar)
-        - 4.0 * np.einsum("pij,rij->rp", c, vbar)
-        + 2.0 * np.einsum("ijp,ijr->rp", vbar, c)
-        + 2.0 * np.einsum("ijp,ijr->rp", cbar, v)
+        -4.0 * np.einsum("...pij,...rij->...rp", v, cbar, optimize=True)
+        - 4.0 * np.einsum("...pij,...rij->...rp", c, vbar, optimize=True)
+        + 2.0 * np.einsum("...ijp,...ijr->...rp", vbar, c, optimize=True)
+        + 2.0 * np.einsum("...ijp,...ijr->...rp", cbar, v, optimize=True)
     )
     return hermitian_part(r)
 
@@ -113,21 +118,50 @@ def _normalized(c: np.ndarray) -> np.ndarray:
     return c / np.linalg.norm(c)
 
 
-def _hessian_matvec(s: _State, v: np.ndarray) -> np.ndarray:
-    """Sphere Hessian of tr(R^2) at unit s.mu applied to v.
+def _polish_basis(n: int) -> np.ndarray:
+    """Real orthonormal basis of the antisymmetric (n, n, n) tensors.
 
-    v is first antisymmetrized and projected tangentially, so the operator
-    acts on the tangent space of the sphere inside the antisymmetric
-    tensors and vanishes on the complement.
+    Shape (n^2 (n-1), n, n, n): for each i < j and k, the tensors with
+    z/sqrt(2) at [i, j, k] and -z/sqrt(2) at [j, i, k], for z = 1 and
+    z = 1j.  Orthonormal for Re<., .>.
     """
-    v = 0.5 * (v - v.transpose(1, 0, 2))
-    v = v - np.vdot(s.mu, v).real * s.mu
-    h = -8.0 * (
-        _delta_coeff(v, s.r) + _delta_coeff(s.mu, _polarized_moment(s.mu, v))
-    )
-    h = h - np.vdot(s.mu, h).real * s.mu
-    h = h - np.vdot(s.mu, s.g_amb).real * v
-    return h
+    iu, ju = np.triu_indices(n, k=1)
+    rows = np.arange(len(iu) * n)
+    p, k = np.divmod(rows, n)
+    half = np.zeros((len(rows), n, n, n), dtype=complex)
+    half[rows, iu[p], ju[p], k] = np.sqrt(0.5)
+    half[rows, ju[p], iu[p], k] = -np.sqrt(0.5)
+    return np.concatenate([half, 1j * half])
+
+
+def _coords(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Real coordinates Re<x, b> of x in basis, for x of shape (..., n, n, n).
+
+    Re<x, b> is the dot product of the float views of x and b.
+    """
+    flat = np.ascontiguousarray(x).reshape(*x.shape[:-3], -1).view(float)
+    return flat @ basis.reshape(len(basis), -1).view(float).T
+
+
+def _tangent(mu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Component of x, shape (..., n, n, n), tangent to the sphere at unit mu."""
+    coef = (x.reshape(*x.shape[:-3], -1) @ np.conj(mu).ravel()).real
+    return x - coef[..., None, None, None] * mu
+
+
+def _hessian(s: _State, basis: np.ndarray) -> np.ndarray:
+    """Sphere Hessian of tr(R^2) at unit s.mu in the coordinates of basis.
+
+    The basis tensors are projected tangentially first, so the matrix acts
+    on the tangent space of the sphere inside the antisymmetric tensors and
+    vanishes along mu.  All columns are evaluated in one batch.
+    """
+    mu = s.mu
+    v = _tangent(mu, basis)
+    h = -8.0 * (_delta_coeff(v, s.r) + _delta_coeff(mu, _polarized_moment(mu, v)))
+    h = _tangent(mu, h) - np.vdot(mu, s.g_amb).real * v
+    cols = _coords(basis, h).T
+    return 0.5 * (cols + cols.T)
 
 
 def _newton_polish(s: _State, f_cap: float, report_fn, report):
@@ -142,21 +176,16 @@ def _newton_polish(s: _State, f_cap: float, report_fn, report):
     pseudoinverses over a ladder of spectral cutoffs and then damped
     (Levenberg-Marquardt) solves, keeping whichever candidate most shrinks
     the criticality residual — the certificate being chased — without
-    raising the energy above f_cap.  Returns the refined state and report.
+    raising the energy above f_cap.  The linear algebra runs in the
+    n^2 (n-1) real coordinates of _polish_basis.  Returns the refined state
+    and report.
     """
-    n = s.mu.shape[0]
-    dim = 2 * n**3
+    basis = _polish_basis(s.mu.shape[0])
     for _ in range(_POLISH_ROUNDS):
         if report.is_critical or s.gnorm <= 1e-13:
             break
-        basis = np.eye(dim)
-        cols = np.empty((dim, dim))
-        for k in range(dim):
-            v = basis[k].view(complex).reshape(s.mu.shape)
-            cols[:, k] = _hessian_matvec(s, v).view(float).ravel()
-        cols = 0.5 * (cols + cols.T)
-        evals, q = np.linalg.eigh(cols)
-        rhs = q.T @ (-s.g_tan).view(float).ravel()
+        evals, q = np.linalg.eigh(_hessian(s, basis))
+        rhs = q.T @ _coords(basis, -s.g_tan)
         big = float(np.max(np.abs(evals))) or 1.0
 
         candidates = []
@@ -167,8 +196,14 @@ def _newton_polish(s: _State, f_cap: float, report_fn, report):
             candidates.append(q @ (rhs / (np.abs(evals) + damp * big)))
 
         chosen = None
+        tried = []
         for sol in candidates:
-            step = sol.view(complex).reshape(s.mu.shape)
+            # cuts that keep the same eigenvalues give the same step, which
+            # cannot win the strict comparison below
+            if any(np.array_equal(sol, prev) for prev in tried):
+                continue
+            tried.append(sol)
+            step = np.tensordot(sol, basis, 1)
             norm = np.linalg.norm(step)
             if not np.isfinite(norm) or norm == 0.0:
                 continue
@@ -207,7 +242,7 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
     def _report(state: _State) -> CriticalReport:
         return criticality(StructureTensor(state.mu), tol=params.crit_tol)
 
-    report = _report(s)
+    report, checked = _report(s), s  # checked: the state report certifies
     best_s, best_report = s, report
 
     h = params.initial_step
@@ -226,7 +261,7 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
                 accepted += 1
                 window_n += 1
                 if accepted % _RESIDUAL_PERIOD == 0:
-                    report = _report(s)
+                    report, checked = _report(s), s
                     if report.residual < best_report.residual:
                         best_s, best_report = s, report
                     if report.is_critical:
@@ -237,6 +272,7 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
                         s, report = _newton_polish(
                             s, s.f + _F_SLACK, _report, report
                         )
+                        checked = s
                         if report.residual < best_report.residual:
                             best_s, best_report = s, report
                         if report.is_critical:
@@ -252,9 +288,10 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
                 if h < _MIN_STEP:
                     break
 
-        report = _report(s)
-        if report.residual < best_report.residual:
-            best_s, best_report = s, report
+        if checked is not s:
+            report = _report(s)
+            if report.residual < best_report.residual:
+                best_s, best_report = s, report
         # polish the best point seen, not necessarily where the loop stopped
         if not best_report.is_critical and best_s.gnorm < _POLISH_GATE:
             best_s, best_report = _newton_polish(

@@ -20,6 +20,7 @@ from skewflow import (
     jacobi_residual,
     mu_A,
     mu_he,
+    mu_hy,
     nilpotent_normal_form,
     random_tensor,
     semidirect_extension,
@@ -154,6 +155,18 @@ def test_delta_star_is_adjoint_of_delta():
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_delta_operator_is_delta_on_upper_pairs(n):
+    rng = np.random.default_rng(n)
+    mu = random_tensor(n, seed=30 + n)
+    a = _rand_matrix(rng, n)
+    iu, ju = np.triu_indices(n, k=1)
+    m = algebra._delta_operator(mu.coeff)
+    assert m.shape == (n * n * (n - 1) // 2, n * n)
+    expected = delta(mu, a).coeff[iu, ju].ravel()
+    assert np.allclose(m @ a.ravel(), expected, rtol=0, atol=1e-13)
+
+
 class TestDerivations:
     def test_sl2_inner_derivations(self):
         ders = derivation_algebra(sl2_compact().tensor)
@@ -194,12 +207,23 @@ PARTITION_DIMS = {
     (3, 3): (25, 5), (4,): (11, 2), (4, 1): (19, 3), (4, 1, 1): (31, 6),
     (4, 2): (23, 3), (5,): (13, 2), (5, 1): (21, 3), (6,): (15, 2),
 }
-RANDOM_DIMS = {3: (1, 0), 4: (0, 0), 5: (0, 0), 6: (0, 0), 7: (0, 0), 8: (0, 0)}
+RANDOM_DIMS = {
+    2: (2, 1), 3: (1, 0), 4: (0, 0), 5: (0, 0), 6: (0, 0), 7: (0, 0), 8: (0, 0),
+}
+# The smallest dimensions, where the i < j operator has no more rows than
+# columns; recorded with the operator on all n^3 rows.
+SMALL_DIMS = {
+    "mu_hy(2)": (mu_hy(2).tensor, (2, 1)),
+    "zero(1)": (StructureTensor.zero(1), (1, 1)),
+    "zero(2)": (StructureTensor.zero(2), (4, 4)),
+}
 
 
 def _pinned_inputs():
     for e in all_entries():
         yield e.name, e.tensor, ENTRY_DIMS[e.name]
+    for name, (mu, dims) in SMALL_DIMS.items():
+        yield name, mu, dims
     for p, dims in PARTITION_DIMS.items():
         yield str(p), mu_A(nilpotent_normal_form(p)).tensor, dims
     for n, dims in RANDOM_DIMS.items():
@@ -247,8 +271,9 @@ class TestDerivationDims:
             mu_A(nilpotent_normal_form((1, 1, 1, 1, 1, 1))).tensor,  # n = 13
             mu_A(nilpotent_normal_form((3, 2))).tensor,
             random_tensor(8, seed=0),
+            random_tensor(2, seed=0),
         ],
-        ids=["partition-n13", "partition-n8", "random-n8"],
+        ids=["partition-n13", "partition-n8", "random-n8", "random-n2"],
     )
     def test_nullity_matches_null_space(self, mu):
         m = algebra._delta_operator(mu.coeff)

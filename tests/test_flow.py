@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from skewflow import (
     resolve,
     stratum_label,
 )
+from skewflow.flow import _coords, _hessian, _polish_basis, _state, _tangent
+from skewflow.moment import _moment_coeff
 
 FAST = FlowParams(max_steps=50_000)
 
@@ -184,3 +188,49 @@ class TestFlowBatch:
 def test_trace_dataclass_defaults():
     t = FlowTrace()
     assert t.samples == [] and t.limit is None and not t.converged
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_polish_basis_is_orthonormal_and_antisymmetric(n):
+    basis = _polish_basis(n)
+    assert basis.shape == (n * n * (n - 1), n, n, n)
+    flat = basis.reshape(len(basis), -1)
+    gram = (flat @ flat.conj().T).real  # Re<b_a, b_b>
+    assert np.allclose(gram, np.eye(len(basis)), rtol=0, atol=1e-15)
+    assert np.array_equal(basis, -basis.transpose(0, 2, 1, 3))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_polish_hessian_matches_second_difference(n):
+    # x^T H x is the second derivative of tr(R^2) along the great circle
+    # cos(t) mu + sin(t) v through mu in the unit tangent direction v
+    rng = np.random.default_rng(40 + n)
+    mu = random_tensor(n, seed=40 + n).normalized().coeff
+    basis = _polish_basis(n)
+    hess = _hessian(_state(mu), basis)
+
+    def energy(t, v):
+        r = _moment_coeff(np.cos(t) * mu + np.sin(t) * v)
+        return np.trace(r @ r).real
+
+    h = 1e-4
+    for _ in range(3):
+        v = _tangent(mu, np.tensordot(rng.standard_normal(len(basis)), basis, 1))
+        v /= np.linalg.norm(v)
+        x = _coords(basis, v)
+        second = (energy(h, v) - 2.0 * energy(0.0, v) + energy(-h, v)) / h**2
+        assert x @ hess @ x == pytest.approx(second, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", ["g6", "g7", "n4"])
+def test_each_point_is_certified_once(name, monkeypatch):
+    flow_module = sys.modules["skewflow.flow"]
+    seen = []
+
+    def recording(mu, **kwargs):
+        seen.append(mu.coeff.tobytes())
+        return criticality(mu, **kwargs)
+
+    monkeypatch.setattr(flow_module, "criticality", recording)
+    assert flow(dim4_family(name).tensor, FAST).converged
+    assert len(seen) == len(set(seen))
