@@ -26,6 +26,7 @@ from .moment import criticality, moment_map, scalar_F
 from .tensorio import (
     fraction_str,
     json_text,
+    report_to_dict,
     tensor_from_json,
     tensor_read,
     tensor_to_json,
@@ -242,13 +243,7 @@ def _classification(tensor, crit_tol):
 
 
 def _report_data(rep, stratum):
-    data = {
-        "c_mu": float(rep.c_mu),
-        "D_eigenvalues": [float(x) for x in rep.d_eigenvalues()],
-        "residual": float(rep.residual),
-        "F": float(rep.F_value),
-        "is_critical": bool(rep.is_critical),
-    }
+    data = report_to_dict(rep)
     if stratum is not None:
         data["type"] = stratum
         value = critical_value(stratum)
@@ -366,17 +361,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    overrides = {
-        key: value
-        for key, value in (
-            ("max_steps", args.max_steps),
-            ("grad_tol", args.grad_tol),
-            ("crit_tol", args.crit_tol),
-        )
-        if value is not None
-    }
-    params = FlowParams(**overrides)
-    results = run_suite(only=args.only, seed=args.seed, params=params)
+    results = run_suite(only=args.only, seed=args.seed, params=_flow_params(args))
     for result in results:
         print(result.line)
     failed = [r for r in results if not r.passed]

@@ -38,7 +38,7 @@ _GROWTH = 1.2
 _SHRINK = 0.5
 _F_SLACK = 1e-13  # absolute; accepted-step monotonicity still holds at 1e-12
 _MIN_STEP = 1e-16
-_RESIDUAL_PERIOD = 16  # accepted steps between criticality checks
+_INITIAL_STEP = 1e-3  # step size at the start and after a failed polish
 _PLATEAU_WINDOW = 1024  # accepted steps per energy-progress window
 _POLISH_GATE = 1e-2  # only polish when the tangential gradient is this small
 _POLISH_ROUNDS = 40
@@ -51,14 +51,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowParams:
-    initial_step: float = 1e-3
     max_steps: int = 200_000
     grad_tol: float = 1e-9
     crit_tol: float = 1e-8
 
     def __post_init__(self):
-        if min(self.initial_step, self.grad_tol, self.crit_tol) <= 0:
-            raise ValueError("step size and tolerances must be positive")
+        if min(self.grad_tol, self.crit_tol) <= 0:
+            raise ValueError("tolerances must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -68,10 +67,9 @@ class FlowTrace:
     """Record of one trajectory.
 
     samples holds (step index, F value, tangential gradient norm) at the
-    start and at every accepted descent step; limit is the final (or
-    best-residual) unit-norm point; stratum is the limit's type when
-    converged and extraction succeeds; error carries per-item failures from
-    flow_batch.
+    start and at every accepted descent step; limit is the final unit-norm
+    point; stratum is the limit's type when converged and extraction
+    succeeds; error carries per-item failures from flow_batch.
     """
 
     samples: list = field(default_factory=list)
@@ -225,11 +223,15 @@ def _newton_polish(s: _State, f_cap: float, report_fn, report):
 def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
     """Integrate the negative gradient flow from mu0 (normalized internally).
 
-    Stops when the criticality residual drops below crit_tol (checked
-    periodically and at every other stop), when the tangential gradient norm
-    drops below grad_tol, when the step size underflows or the energy
-    plateaus at its rounding floor, or at max_steps.  converged reflects the
-    final residual test only.
+    Stops when the tangential gradient norm drops below grad_tol, when the
+    step size underflows or the energy plateaus at its rounding floor, at
+    max_steps, or when a Newton polish certifies a critical point.  The
+    criticality residual is computed only where the flow can stop: at the
+    start, at the start of each polish, and once at the end, where a point
+    that is not yet certified gets a last polish.  converged reflects that
+    final residual test only.  So a loosened crit_tol does not cut the
+    descent short: the flow still runs to its first polish (after 512
+    accepted steps) or to one of the other stops.
     """
     if params is None:
         params = FlowParams()
@@ -242,10 +244,8 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
     def _report(state: _State) -> CriticalReport:
         return criticality(StructureTensor(state.mu), tol=params.crit_tol)
 
-    report, checked = _report(s), s  # checked: the state report certifies
-    best_s, best_report = s, report
-
-    h = params.initial_step
+    report = _report(s)
+    h = _INITIAL_STEP
     accepted = 0
     step = 0
     next_polish = _FIRST_POLISH
@@ -260,25 +260,14 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
                 h *= _GROWTH
                 accepted += 1
                 window_n += 1
-                if accepted % _RESIDUAL_PERIOD == 0:
-                    report, checked = _report(s), s
-                    if report.residual < best_report.residual:
-                        best_s, best_report = s, report
+                # slowly converging trajectories: try an early polish
+                if accepted >= next_polish and s.gnorm < _POLISH_GATE:
+                    next_polish *= 4
+                    s, report = _newton_polish(s, s.f + _F_SLACK, _report, _report(s))
                     if report.is_critical:
                         break
-                    # slowly converging trajectories: try an early polish
-                    if accepted >= next_polish and s.gnorm < _POLISH_GATE:
-                        next_polish *= 4
-                        s, report = _newton_polish(
-                            s, s.f + _F_SLACK, _report, report
-                        )
-                        checked = s
-                        if report.residual < best_report.residual:
-                            best_s, best_report = s, report
-                        if report.is_critical:
-                            break
-                        h = params.initial_step
-                        window_f, window_n = s.f, 0
+                    h = _INITIAL_STEP
+                    window_f, window_n = s.f, 0
                 if window_n >= _PLATEAU_WINDOW:
                     if window_f - s.f <= _PLATEAU_WINDOW * _F_SLACK:
                         break  # energy at its rounding floor
@@ -288,30 +277,22 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
                 if h < _MIN_STEP:
                     break
 
-        if checked is not s:
+        if not report.is_critical:  # the loop did not end on a certified polish
             report = _report(s)
-            if report.residual < best_report.residual:
-                best_s, best_report = s, report
-        # polish the best point seen, not necessarily where the loop stopped
-        if not best_report.is_critical and best_s.gnorm < _POLISH_GATE:
-            best_s, best_report = _newton_polish(
-                best_s, best_s.f + _F_SLACK, _report, best_report
-            )
-        s, report = best_s, best_report
+            if not report.is_critical and s.gnorm < _POLISH_GATE:
+                s, report = _newton_polish(s, s.f + _F_SLACK, _report, report)
 
-    trace = FlowTrace(samples=samples)
-    if report.is_critical:
-        trace.converged = True
-        trace.limit = StructureTensor(s.mu)
-        trace.limit_report = report
+    trace = FlowTrace(
+        samples=samples,
+        limit=StructureTensor(s.mu),
+        converged=report.is_critical,
+        limit_report=report,
+    )
+    if trace.converged:
         try:
             trace.stratum = extract_type(report.D_mu)
         except TypeExtractionError as exc:
             trace.error = f"type extraction failed at the limit: {exc}"
-    else:
-        trace.converged = False
-        trace.limit = StructureTensor(best_s.mu)
-        trace.limit_report = best_report
     return trace
 
 

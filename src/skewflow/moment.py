@@ -33,7 +33,6 @@ __all__ = [
     "CriticalReport",
     "moment_map",
     "scalar_F",
-    "sphere_F",
     "gradient",
     "tangential_gradient",
     "criticality",
@@ -52,11 +51,6 @@ def _moment_coeff(c: np.ndarray) -> np.ndarray:
         "ijp,ijr->rp", cbar, c
     )
     return hermitian_part(r)
-
-
-def sphere_F(mu: StructureTensor) -> float:
-    """tr(R^2) after normalizing mu to the unit sphere."""
-    return scalar_F(mu)
 
 
 def scalar_F(mu: StructureTensor) -> float:

@@ -88,6 +88,20 @@ class TestClassify:
         assert data["critical_value"] == "12"
         assert data["critical_value_float"] == 12.0
 
+    def test_critical_point_text(self, capsys):
+        code, out, _ = run(capsys, "classify", "--catalog", "mu_he", "--dim", "3")
+        assert code == 0
+        rows = [line.split(None, 1) for line in out.splitlines()]
+        assert [key for key, _ in rows] == [
+            "c_mu", "D_eigenvalues", "residual", "F", "is_critical",
+            "type", "critical_value", "critical_value_float",
+        ]
+        width = len("critical_value_float")
+        assert f"{'is_critical':<{width}}  true" in out.splitlines()
+        assert f"{'type':<{width}}  (1<2;2,1)" in out.splitlines()
+        assert f"{'critical_value':<{width}}  12" in out.splitlines()
+        assert f"{'critical_value_float':<{width}}  12" in out.splitlines()
+
     def test_noncritical_has_no_type(self, capsys):
         code, out, _ = run(capsys, "classify", "--catalog", "random", "--seed", "3",
                            "--format", "json")

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from skewflow import (
+    DEFAULT_PARAMS,
+    DIM4_FAMILY_NAMES,
+    EXCLUDED_ORBITS,
     ConvergenceError,
     CriticalType,
     FlowParams,
@@ -34,8 +37,6 @@ class TestFlowParams:
         assert p.crit_tol == 1e-8
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FlowParams(initial_step=0.0)
         with pytest.raises(ValueError):
             FlowParams(grad_tol=-1e-9)
         with pytest.raises(ValueError):
@@ -222,7 +223,12 @@ def test_polish_hessian_matches_second_difference(n):
         assert x @ hess @ x == pytest.approx(second, rel=1e-6)
 
 
-@pytest.mark.parametrize("name", ["g6", "g7", "n4"])
+# g6 and g7 end on a mid-descent polish, n4 is critical at the start, and
+# g5 and g2(1/27, 1/3) end through the post-loop check and the end polish
+CERTIFY_STARTS = {"g6": (), "g7": (), "n4": (), "g5": (), "g2": (1 / 27, 1 / 3)}
+
+
+@pytest.mark.parametrize("name", list(CERTIFY_STARTS))
 def test_each_point_is_certified_once(name, monkeypatch):
     flow_module = sys.modules["skewflow.flow"]
     seen = []
@@ -232,5 +238,83 @@ def test_each_point_is_certified_once(name, monkeypatch):
         return criticality(mu, **kwargs)
 
     monkeypatch.setattr(flow_module, "criticality", recording)
-    assert flow(dim4_family(name).tensor, FAST).converged
+    assert flow(dim4_family(name, CERTIFY_STARTS[name]).tensor, FAST).converged
     assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("name", list(CERTIFY_STARTS))
+def test_certificates_only_where_the_flow_can_stop(name, monkeypatch):
+    # outside the polish the flow certifies its start, the start of each
+    # polish and its end: at most 2 + (number of polishes) checks
+    flow_module = sys.modules["skewflow.flow"]
+    polish = flow_module._newton_polish
+    counts = {"outside": 0, "polishes": 0}
+    in_polish = []
+
+    def recording(mu, **kwargs):
+        if not in_polish:
+            counts["outside"] += 1
+        return criticality(mu, **kwargs)
+
+    def wrapped(*args, **kwargs):
+        counts["polishes"] += 1
+        in_polish.append(True)
+        try:
+            return polish(*args, **kwargs)
+        finally:
+            in_polish.pop()
+
+    monkeypatch.setattr(flow_module, "criticality", recording)
+    monkeypatch.setattr(flow_module, "_newton_polish", wrapped)
+    assert flow(dim4_family(name, CERTIFY_STARTS[name]).tensor, FAST).converged
+    assert counts["outside"] <= 2 + counts["polishes"]
+
+
+# (len(samples), converged, stratum, F) of the default-parameter flow from
+# each nonzero four-dimensional family at DEFAULT_PARAMS and from the start
+# of each excluded orbit (g5 is both); where the flow computes its
+# criticality certificate must not change any of them
+FLOW_PINS = {
+    ("n3+C", ()): (1, True, "(2<3<4;2,1,1)", 12.0),
+    ("r2+C2", ()): (1, True, "(0<1;1,3)", 4.0),
+    ("r3+C", ()): (95, True, "(0<1;1,3)", 4.0),
+    ("r3l+C", (0.5,)): (1, True, "(0<1;1,3)", 4.0),
+    ("r2+r2", ()): (1, True, "(0<1;2,2)", 2.0),
+    ("sl2+C", ()): (513, True, "(0<1;3,1)", 4 / 3),
+    ("n4", ()): (1, True, "(1<2<3<4;1,1,1,1)", 6.0),
+    ("g1", (2.0,)): (1, True, "(0<1;1,3)", 4.0),
+    ("g2", (2.0, 1.0)): (513, True, "(0<1;1,3)", 4.0),
+    ("g3", (2.0,)): (513, True, "(0<1;1,3)", 4.0),
+    ("g4", ()): (1, True, "(0<1;1,3)", 4.0),
+    ("g5", ()): (95, True, "(0<1;1,3)", 4.0),
+    ("g6", ()): (513, True, "(0<1<2;1,2,1)", 3.0),
+    ("g7", ()): (513, True, "(0<1<2;1,2,1)", 3.0),
+    ("g8", (2.0,)): (513, True, "(0<1<2;1,2,1)", 3.0),
+    ("g8", (0.25,)): (513, True, "(0<1<2;1,2,1)", 3.0),
+    ("g3", (6.75,)): (513, True, "(0<1;1,3)", 4.0),
+    ("g2", (1 / 27, 1 / 3)): (69, True, "(0<1;1,3)", 4.0),
+}
+
+
+def test_flow_pins_cover_families_and_excluded_orbits():
+    families = {
+        (name, DEFAULT_PARAMS.get(name, ())) for name in DIM4_FAMILY_NAMES if name != "C4"
+    }
+    excluded = {(o.name, o.params) for o in EXCLUDED_ORBITS}
+    assert len(families) == 15 and len(excluded) == 4
+    assert set(FLOW_PINS) == families | excluded
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    list(FLOW_PINS),
+    ids=[name + (f"({','.join(f'{p:.4g}' for p in params)})" if params else "")
+         for name, params in FLOW_PINS],
+)
+def test_pinned_flow_outcome(name, params):
+    steps, converged, stratum, value = FLOW_PINS[name, params]
+    trace = flow(dim4_family(name, params).tensor)
+    assert (len(trace.samples), trace.converged, str(trace.stratum)) == (
+        steps, converged, stratum,
+    )
+    assert trace.limit_report.F_value == pytest.approx(value, abs=1e-9)

@@ -12,7 +12,6 @@ from skewflow import (
     mu_he,
     random_tensor,
     scalar_F,
-    sphere_F,
     tangential_gradient,
 )
 
@@ -48,7 +47,6 @@ def test_scalar_F_scale_invariant():
         assert scalar_F(StructureTensor(s * mu.coeff)) == pytest.approx(
             scalar_F(mu), rel=1e-12
         )
-    assert sphere_F(mu) == pytest.approx(scalar_F(mu))
 
 
 def test_scalar_F_unitary_invariant():
