@@ -240,11 +240,12 @@ def _delta_operator(c: np.ndarray) -> np.ndarray:
 def _null_rows(m: np.ndarray, rcond: float) -> np.ndarray:
     """Orthonormal rows spanning the kernel of a matrix m.
 
-    Singular values at or below rcond * max(s) count as zero, the threshold
-    of scipy.linalg.null_space.  A tall m gets the economy SVD, which skips
-    the unused left singular vectors; a wide one (n <= 2) needs the full
-    right factor, whose extra rows are kernel vectors too.
+    Zero rows add nothing to m* m and are dropped.  Singular values at or
+    below rcond * max(s) count as zero, the threshold of null_space.  A
+    tall m gets the economy SVD; a wide one (n <= 2, or sparse) needs the
+    full right factor, whose extra rows are kernel vectors too.
     """
+    m = m[np.any(m != 0, axis=1)]
     _, s, vh = svd(m, full_matrices=m.shape[0] < m.shape[1])
     rank = int(np.sum(s > np.amax(s, initial=0.0) * rcond))
     return vh[rank:].conj()
@@ -257,7 +258,7 @@ class DerivationBasis:
     product; hermitian_basis spans the real subspace of hermitian
     derivations, orthonormal in the real coordinates of
     _hermitian_param_basis.  Shapes: (dim, n, n).  Each basis is computed
-    from the matrix of A -> delta_mu(A) on first access and then cached.
+    from the nonzero rows of A -> delta_mu(A) on first access, then cached.
     """
 
     def __init__(self, mu: StructureTensor, tol: float = DEFAULT_NULLSPACE_TOL):
@@ -316,7 +317,6 @@ def _subspace_span(vectors: np.ndarray, tol: float) -> np.ndarray:
 @dataclass(frozen=True)
 class StructureInvariants:
     is_lie: bool
-    dim_derivations: int
     dim_image: int
     dim_center: int | None
     is_nilpotent: bool | None
@@ -327,19 +327,18 @@ class StructureInvariants:
 def structure_invariants(
     mu: StructureTensor, tol: float = DEFAULT_NULLSPACE_TOL
 ) -> StructureInvariants:
-    """Derivation dimension, image/center dimensions and structure flags.
+    """Image/center dimensions and structure flags, without dim Der.
 
-    For non-Lie input only dim Der and dim mu(C^n, C^n) are computed; the
-    series-based flags stay None.
+    For non-Lie input only dim mu(C^n, C^n) is computed; the series-based
+    flags stay None.  dim Der is derivation_algebra(mu).dim_complex.
     """
     n = mu.dim
     c = mu.coeff
     scale = max(mu.norm(), 1.0)
-    dim_der = derivation_algebra(mu, tol).dim_complex
     dim_image = _subspace_span(c.reshape(n * n, n), tol).shape[1]
 
     if jacobi_residual(mu) > 1e-8 * scale**2:
-        return StructureInvariants(False, dim_der, dim_image, None, None, None, None)
+        return StructureInvariants(False, dim_image, None, None, None, None)
 
     # center: kernel of X -> mu(X, .)
     mker = c.transpose(1, 2, 0).reshape(n * n, n)
@@ -386,7 +385,7 @@ def structure_invariants(
         is_semisimple = bool(abs(np.linalg.det(killing / lmax)) > 1e-8)
 
     return StructureInvariants(
-        True, dim_der, dim_image, dim_center, is_nilpotent, is_solvable, is_semisimple
+        True, dim_image, dim_center, is_nilpotent, is_solvable, is_semisimple
     )
 
 

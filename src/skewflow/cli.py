@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import StructureTensor, jacobi_residual, structure_invariants
+from .algebra import StructureTensor, derivation_algebra, jacobi_residual, structure_invariants
 from .catalog import listing, resolve
 from .classify import CriticalType, TypeExtractionError, critical_value, extract_type
 from .flow import FlowParams, flow, flow_batch
@@ -202,7 +202,7 @@ def _cmd_info(args) -> int:
         "norm_sq": float(tensor.norm() ** 2),
         "jacobi_residual": jacobi_residual(tensor),
         "is_lie": inv.is_lie,
-        "dim_derivations": inv.dim_derivations,
+        "dim_derivations": derivation_algebra(tensor).dim_complex,
         "dim_image": inv.dim_image,
         "dim_center": inv.dim_center,
         "is_nilpotent": inv.is_nilpotent,

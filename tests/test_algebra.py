@@ -241,6 +241,15 @@ def _param_coords(h):
     return np.array(out)
 
 
+NULLITY_INPUTS = [
+    mu_A(nilpotent_normal_form((1, 1, 1, 1, 1, 1))).tensor,  # n = 13
+    mu_A(nilpotent_normal_form((3, 2))).tensor,
+    random_tensor(8, seed=0),
+    random_tensor(2, seed=0),
+]
+NULLITY_IDS = ["partition-n13", "partition-n8", "random-n8", "random-n2"]
+
+
 class TestDerivationDims:
     def test_tables_cover_every_input(self):
         assert set(ENTRY_DIMS) == {e.name for e in all_entries()}
@@ -265,20 +274,34 @@ class TestDerivationDims:
             for dmat in ders.hermitian_basis:
                 assert np.array_equal(dmat, dmat.conj().T), name
 
-    @pytest.mark.parametrize(
-        "mu",
-        [
-            mu_A(nilpotent_normal_form((1, 1, 1, 1, 1, 1))).tensor,  # n = 13
-            mu_A(nilpotent_normal_form((3, 2))).tensor,
-            random_tensor(8, seed=0),
-            random_tensor(2, seed=0),
-        ],
-        ids=["partition-n13", "partition-n8", "random-n8", "random-n2"],
-    )
+    @pytest.mark.parametrize("mu", NULLITY_INPUTS, ids=NULLITY_IDS)
     def test_nullity_matches_null_space(self, mu):
         m = algebra._delta_operator(mu.coeff)
         nullity = algebra._null_rows(m, algebra.DEFAULT_NULLSPACE_TOL).shape[0]
         assert nullity == null_space(m, rcond=1e-9).shape[1]
+
+    @pytest.mark.parametrize("mu", NULLITY_INPUTS, ids=NULLITY_IDS)
+    def test_zero_rows_change_no_kernel(self, mu):
+        n = mu.dim
+        m = algebra._delta_operator(mu.coeff)
+        herm = algebra._hermitian_param_basis(n).reshape(n * n, n * n)
+        img = m @ herm.T
+        for system in (m, np.concatenate([img.real, img.imag])):
+            ref = null_space(system, rcond=1e-9)
+            ref_proj = ref @ ref.conj().T
+            zeros = np.zeros_like(system)
+            interleaved = np.stack([system, zeros], axis=1).reshape(-1, system.shape[1])
+            for padded in (system, np.concatenate([system, zeros]), interleaved):
+                rows = algebra._null_rows(padded, algebra.DEFAULT_NULLSPACE_TOL)
+                assert rows.shape[0] == ref.shape[1]
+                assert np.abs(rows.T @ rows.conj() - ref_proj).max() <= 1e-12
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_all_zero_matrix_has_full_kernel(self, dtype):
+        for k, width in ((5, 3), (3, 5), (0, 4)):
+            rows = algebra._null_rows(np.zeros((k, width), dtype), 1e-9)
+            assert rows.shape == (width, width)
+            assert np.allclose(rows @ rows.conj().T, np.eye(width), atol=1e-12)
 
     def test_bases_built_on_demand(self, monkeypatch):
         kinds = []
@@ -294,7 +317,7 @@ class TestDerivationDims:
         assert kinds == ["hermitian"]
         kinds.clear()
         structure_invariants(mu)
-        assert kinds == ["complex"]
+        assert kinds == []  # dim Der is read from derivation_algebra only
         kinds.clear()
         ders = derivation_algebra(mu)
         ders.dim_complex, ders.complex_basis, ders.dim_hermitian

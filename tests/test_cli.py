@@ -35,7 +35,18 @@ class TestInfo:
         assert data["is_lie"] is True
         assert data["is_nilpotent"] is True
         assert data["dim_center"] == 1
+        assert data["dim_derivations"] == 6
         assert data["jacobi_residual"] == 0.0
+
+    def test_json_non_lie(self, capsys):
+        code, out, _ = run(capsys, "info", "--catalog", "random", "--dim", "4",
+                           "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["is_lie"] is False
+        assert data["dim_derivations"] == 0
+        assert data["dim_image"] == 4
+        assert data["dim_center"] is None
 
     def test_csv_single_row(self, capsys):
         code, out, _ = run(capsys, "info", "--catalog", "g6", "--format", "csv")
