@@ -178,16 +178,22 @@ def delta(mu: StructureTensor, a: np.ndarray) -> StructureTensor:
 
 
 def _delta_coeff(c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Array kernel of delta on a coefficient array c (no antisymmetrization).
+    """Array kernel of delta on a coefficient array c antisymmetric in (i, j).
 
-    Leading batch axes of c or a broadcast; only a batch is worth routing
-    through BLAS, a single call is faster in plain einsum.
+    With C1 = c.reshape(n, n^2) and C3 = c.reshape(n^2, n), the first term
+    of delta is T1 = (A^T C1)[i, (jk)] and the last is T3 = (C3 A^T)[(ij), k].
+    As c is antisymmetric, the middle term is -T1 with i and j swapped and
+    T3 is antisymmetric, so delta = X - (X with i and j swapped) for
+    X = T1 - T3 / 2, which is exactly antisymmetric.  A may carry leading
+    batch axes.
     """
-    opt = c.ndim > 3 or a.ndim > 2
-    t1 = np.einsum("...pi,...pjk->...ijk", a, c, optimize=opt)
-    t2 = np.einsum("...pj,...ipk->...ijk", a, c, optimize=opt)
-    t3 = np.einsum("...kr,...ijr->...ijk", a, c, optimize=opt)
-    return t1 + t2 - t3
+    n = c.shape[0]
+    at = a.swapaxes(-1, -2)
+    shape = (*a.shape[:-2], n, n, n)
+    x = (at @ c.reshape(n, n * n)).reshape(shape) - 0.5 * (
+        c.reshape(n * n, n) @ at
+    ).reshape(shape)
+    return x - x.swapaxes(-3, -2)
 
 
 def delta_star(mu: StructureTensor, lam: StructureTensor) -> np.ndarray:
@@ -237,6 +243,30 @@ def _delta_operator(c: np.ndarray) -> np.ndarray:
     return (m1 + m2 - m3).reshape(len(iu) * n, n * n)
 
 
+def _hermitian_images(op: np.ndarray, n: int) -> np.ndarray:
+    """op @ h.ravel() for each h of _hermitian_param_basis(n), as columns.
+
+    Each parameter matrix has one or two unit entries, so its image is a
+    column of op or the sum of two: op[:, ii], op[:, ij] + op[:, ji] and
+    1j (op[:, ij] - op[:, ji]).  Filled row i of the pairs at a time, from
+    views of op, so no copy of op's columns is made.
+    """
+    m = len(op)
+    img = np.empty((m, n * n), dtype=complex)
+    img[:, :n] = op[:, :: n + 1]
+    pairs = img[:, n:].reshape(m, n * (n - 1) // 2, 2)  # a view of img
+    cols = op.reshape(m, n, n)
+    start = 0
+    for i in range(n - 1):
+        upper, lower = cols[:, i, i + 1 :], cols[:, i + 1 :, i]
+        out = pairs[:, start : start + n - 1 - i]
+        np.add(upper, lower, out=out[..., 0])
+        np.subtract(upper, lower, out=out[..., 1])
+        out[..., 1] *= 1j
+        start += n - 1 - i
+    return img
+
+
 def _null_rows(m: np.ndarray, rcond: float) -> np.ndarray:
     """Orthonormal rows spanning the kernel of a matrix m.
 
@@ -276,7 +306,7 @@ class DerivationBasis:
         # hermiticity is only R-linear: solve over R on n^2 real parameters
         n = self._n
         herm = _hermitian_param_basis(n).reshape(n * n, n * n)
-        img = self._operator @ herm.T  # column p = delta_mu(herm[p]), flattened
+        img = _hermitian_images(self._operator, n)
         rows = _null_rows(np.concatenate([img.real, img.imag]), self._tol)
         basis = (rows @ herm).reshape(-1, n, n)
         # re-exactify hermiticity against rounding

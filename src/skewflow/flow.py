@@ -3,15 +3,20 @@
 Explicit first-order steps with accept/reject control: a trial point is kept
 when the sphere-restricted energy tr(R^2) does not increase (up to a tiny
 absolute slack for floating-point rounding); the step size grows by 1.2 on
-acceptance and halves on rejection.  Once the descent reaches the rounding
-floor of the energy comparison — detected as a run of accepted steps with no
-measurable decrease — a Newton polish of the stationarity equation sharpens
-the limit, using the exact second derivative assembled from the quadratic
-polarization of the moment map.  The polish solves over the antisymmetric
-tensors, n^2 (n-1) real unknowns (448 at n = 8), not over all 2 n^3 real
-coordinates of an (n, n, n) array.  Convergence is decided by the criticality
-residual of the final point, which is what certifies membership in a
-critical set; converged limits are labeled by their extracted type.
+acceptance and halves on rejection.  Each step costs one moment map and one
+coboundary, both reshape-and-matmul kernels.  Once the descent reaches the
+rounding floor of the energy comparison — detected as a run of accepted
+steps with no measurable decrease — a Newton polish of the stationarity
+equation sharpens the limit, using the exact second derivative.  The polish
+works in the real coordinates of the i < j half of the antisymmetric
+tensors, n^2 (n-1) unknowns (448 at n = 8), not in all 2 n^3 real
+coordinates of an (n, n, n) array.  Its Hessian is assembled from two
+structured pieces, the action of R on the tensor slots and 32 L L^T with L
+the real matrix of A -> delta_mu(A) on hermitian A, which holds because the
+moment map is dual to the infinitesimal action.  Convergence is decided by
+the criticality residual of the final point, which is what certifies
+membership in a critical set; converged limits are labeled by their
+extracted type.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import StructureTensor, _delta_coeff, hermitian_part
+from .algebra import StructureTensor, _delta_coeff, _delta_operator, _hermitian_images
 from .classify import CriticalType, TypeExtractionError, extract_type
 from .moment import CriticalReport, _moment_coeff, criticality
 
@@ -89,21 +94,6 @@ class _State(NamedTuple):
     gnorm: float
 
 
-def _polarized_moment(c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Directional derivative of the moment map at c along v.
-
-    Meant for a stack of directions v, shape (..., n, n, n).
-    """
-    cbar, vbar = np.conj(c), np.conj(v)
-    r = (
-        -4.0 * np.einsum("...pij,...rij->...rp", v, cbar, optimize=True)
-        - 4.0 * np.einsum("...pij,...rij->...rp", c, vbar, optimize=True)
-        + 2.0 * np.einsum("...ijp,...ijr->...rp", vbar, c, optimize=True)
-        + 2.0 * np.einsum("...ijp,...ijr->...rp", cbar, v, optimize=True)
-    )
-    return hermitian_part(r)
-
-
 def _state(mu: np.ndarray) -> _State:
     r = _moment_coeff(mu)
     f = float(np.trace(r @ r).real)
@@ -116,50 +106,66 @@ def _normalized(c: np.ndarray) -> np.ndarray:
     return c / np.linalg.norm(c)
 
 
-def _polish_basis(n: int) -> np.ndarray:
-    """Real orthonormal basis of the antisymmetric (n, n, n) tensors.
+def _to_coords(x: np.ndarray) -> np.ndarray:
+    """Polish coordinates of an antisymmetric (n, n, n) tensor x.
 
-    Shape (n^2 (n-1), n, n, n): for each i < j and k, the tensors with
-    z/sqrt(2) at [i, j, k] and -z/sqrt(2) at [j, i, k], for z = 1 and
-    z = 1j.  Orthonormal for Re<., .>.
+    sqrt(2) times the real parts, then the imaginary parts, of x[i, j, k]
+    for i < j (in triu order) and k: n^2 (n-1) reals, an isometry for
+    Re<., .> on the antisymmetric tensors.
     """
+    iu, ju = np.triu_indices(x.shape[0], k=1)
+    half = x[iu, ju].ravel()
+    return np.concatenate([np.sqrt(2.0) * half.real, np.sqrt(2.0) * half.imag])
+
+
+def _from_coords(y: np.ndarray, n: int) -> np.ndarray:
+    """The antisymmetric (n, n, n) tensor with polish coordinates y."""
     iu, ju = np.triu_indices(n, k=1)
-    rows = np.arange(len(iu) * n)
-    p, k = np.divmod(rows, n)
-    half = np.zeros((len(rows), n, n, n), dtype=complex)
-    half[rows, iu[p], ju[p], k] = np.sqrt(0.5)
-    half[rows, ju[p], iu[p], k] = -np.sqrt(0.5)
-    return np.concatenate([half, 1j * half])
+    m = len(y) // 2
+    half = (np.sqrt(0.5) * (y[:m] + 1j * y[m:])).reshape(len(iu), n)
+    x = np.zeros((n, n, n), dtype=complex)
+    x[iu, ju] = half
+    x[ju, iu] = -half
+    return x
 
 
-def _coords(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Real coordinates Re<x, b> of x in basis, for x of shape (..., n, n, n).
+def _hessian(s: _State) -> np.ndarray:
+    """Sphere Hessian of tr(R^2) at unit s.mu, in polish coordinates.
 
-    Re<x, b> is the dot product of the float views of x and b.
+    Along an antisymmetric v the ambient second derivative is
+    -8 (delta_v(R) + delta_mu(dR[v])).  The first term is the linear map
+    Lambda^2(R^T) (x) I - I (x) R of v[i < j, k], taken to real
+    coordinates.  For the second, tr(R A) = -2 Re<delta_mu(A), mu> for
+    hermitian A (R is a moment map) gives tr(dR[v] A) =
+    -4 Re<delta_mu(A), v>, so the term is 32 L L^T with L the real matrix
+    of A -> delta_mu(A) on an orthonormal hermitian basis.  The tangent
+    projection P = I - x x^T (x the coordinates of mu) and the sphere
+    term -lambda P, lambda = Re<mu, g_amb>, are rank-one updates.
     """
-    flat = np.ascontiguousarray(x).reshape(*x.shape[:-3], -1).view(float)
-    return flat @ basis.reshape(len(basis), -1).view(float).T
+    mu, r = s.mu, s.r
+    n = mu.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    eye = np.eye(n)
+    ij, ji = iu * n + ju, ju * n + iu
+    pair = np.kron(r.T, eye) + np.kron(eye, r.T)  # R^T on both slots
+    wedge = pair[np.ix_(ij, ij)] - pair[np.ix_(ij, ji)]  # on the i < j pairs
+    k = np.kron(wedge, eye) - np.kron(np.eye(len(iu)), r)
+    h = -8.0 * np.block([[k.real, -k.imag], [k.imag, k.real]])
 
+    img = _hermitian_images(_delta_operator(mu), n)
+    # polish coordinates sqrt(2) (Re, Im) of the images of an orthonormal
+    # hermitian basis: the diagonal parameter matrices and the others / sqrt(2)
+    scale = np.where(np.arange(n * n) < n, np.sqrt(2.0), 1.0)
+    lmat = np.concatenate([img.real, img.imag]) * scale
+    h += 32.0 * (lmat @ lmat.T)
 
-def _tangent(mu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Component of x, shape (..., n, n, n), tangent to the sphere at unit mu."""
-    coef = (x.reshape(*x.shape[:-3], -1) @ np.conj(mu).ravel()).real
-    return x - coef[..., None, None, None] * mu
-
-
-def _hessian(s: _State, basis: np.ndarray) -> np.ndarray:
-    """Sphere Hessian of tr(R^2) at unit s.mu in the coordinates of basis.
-
-    The basis tensors are projected tangentially first, so the matrix acts
-    on the tangent space of the sphere inside the antisymmetric tensors and
-    vanishes along mu.  All columns are evaluated in one batch.
-    """
-    mu = s.mu
-    v = _tangent(mu, basis)
-    h = -8.0 * (_delta_coeff(v, s.r) + _delta_coeff(mu, _polarized_moment(mu, v)))
-    h = _tangent(mu, h) - np.vdot(mu, s.g_amb).real * v
-    cols = _coords(basis, h).T
-    return 0.5 * (cols + cols.T)
+    x = _to_coords(mu)
+    lam = np.vdot(mu, s.g_amb).real
+    u = h @ x
+    h -= np.outer(x, u) + np.outer(u, x)
+    h += (x @ u + lam) * np.outer(x, x)
+    h[np.diag_indices_from(h)] -= lam
+    return 0.5 * (h + h.T)
 
 
 def _newton_polish(s: _State, f_cap: float, report_fn, report):
@@ -175,15 +181,18 @@ def _newton_polish(s: _State, f_cap: float, report_fn, report):
     (Levenberg-Marquardt) solves, keeping whichever candidate most shrinks
     the criticality residual — the certificate being chased — without
     raising the energy above f_cap.  The linear algebra runs in the
-    n^2 (n-1) real coordinates of _polish_basis.  Returns the refined state
-    and report.
+    n^2 (n-1) polish coordinates of _to_coords, sqrt(2) (Re, Im) of the
+    entries [i, j, k] with i < j; a solution goes back to a tensor by
+    _from_coords, a scatter into the [i, j] and [j, i] halves.  _hessian
+    builds the matrix from the structured pieces without any basis of
+    tensors.  Returns the refined state and report.
     """
-    basis = _polish_basis(s.mu.shape[0])
+    n = s.mu.shape[0]
     for _ in range(_POLISH_ROUNDS):
         if report.is_critical or s.gnorm <= 1e-13:
             break
-        evals, q = np.linalg.eigh(_hessian(s, basis))
-        rhs = q.T @ _coords(basis, -s.g_tan)
+        evals, q = np.linalg.eigh(_hessian(s))
+        rhs = q.T @ _to_coords(-s.g_tan)
         big = float(np.max(np.abs(evals))) or 1.0
 
         candidates = []
@@ -201,7 +210,7 @@ def _newton_polish(s: _State, f_cap: float, report_fn, report):
             if any(np.array_equal(sol, prev) for prev in tried):
                 continue
             tried.append(sol)
-            step = np.tensordot(sol, basis, 1)
+            step = _from_coords(sol, n)
             norm = np.linalg.norm(step)
             if not np.isfinite(norm) or norm == 0.0:
                 continue

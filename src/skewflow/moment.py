@@ -45,12 +45,15 @@ def moment_map(mu: StructureTensor) -> np.ndarray:
 
 
 def _moment_coeff(c: np.ndarray) -> np.ndarray:
-    """Array kernel of moment_map on a coefficient array c."""
-    cbar = np.conj(c)
-    r = -4.0 * np.einsum("pij,rij->rp", c, cbar) + 2.0 * np.einsum(
-        "ijp,ijr->rp", cbar, c
-    )
-    return hermitian_part(r)
+    """Array kernel of moment_map on a coefficient array c.
+
+    With C1 = c.reshape(n, n^2) and C3 = c.reshape(n^2, n) the two sums
+    are matrix products: R = herm(2 C3^T conj(C3) - 4 conj(C1) C1^T).
+    """
+    n = c.shape[0]
+    c1 = c.reshape(n, n * n)
+    c3 = c.reshape(n * n, n)
+    return hermitian_part(2.0 * (c3.T @ np.conj(c3)) - 4.0 * (np.conj(c1) @ c1.T))
 
 
 def scalar_F(mu: StructureTensor) -> float:
@@ -94,11 +97,21 @@ class CriticalReport:
 
 
 def _hermitian_coords(a: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of a hermitian matrix (Frobenius norm)."""
-    n = a.shape[0]
-    iu = np.triu_indices(n, k=1)
+    """Isometric real coordinates (Frobenius norm) of hermitian matrices.
+
+    Works along the last two axes: the diagonal, then sqrt(2) times the real
+    and the imaginary parts of the entries above it.
+    """
+    n = a.shape[-1]
+    iu, ju = np.triu_indices(n, k=1)
+    upper = a[..., iu, ju]
     return np.concatenate(
-        [np.real(np.diag(a)), np.sqrt(2.0) * a[iu].real, np.sqrt(2.0) * a[iu].imag]
+        [
+            np.real(np.diagonal(a, axis1=-2, axis2=-1)),
+            np.sqrt(2.0) * upper.real,
+            np.sqrt(2.0) * upper.imag,
+        ],
+        axis=-1,
     )
 
 
@@ -120,9 +133,8 @@ def criticality(
     d_mu = hermitian_part(r - c_mu * np.eye(nu.dim))
 
     ders = derivation_algebra(nu, tol=nullspace_tol).hermitian_basis
-    cols = [_hermitian_coords(np.eye(nu.dim, dtype=complex))]
-    cols.extend(_hermitian_coords(h) for h in ders)
-    basis = np.array(cols).T
+    eye = np.eye(nu.dim, dtype=complex)[None]
+    basis = _hermitian_coords(np.concatenate([eye, ders])).T
     target = _hermitian_coords(r)
     sol = np.linalg.lstsq(basis, target, rcond=None)[0]
     residual = float(np.linalg.norm(target - basis @ sol))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 import skewflow.algebra as algebra
@@ -165,6 +167,41 @@ def test_delta_operator_is_delta_on_upper_pairs(n):
     assert m.shape == (n * n * (n - 1) // 2, n * n)
     expected = delta(mu, a).coeff[iu, ju].ravel()
     assert np.allclose(m @ a.ravel(), expected, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_hermitian_images_are_operator_columns(n):
+    mu = random_tensor(max(n, 2), seed=60 + n) if n > 1 else StructureTensor.zero(1)
+    m = algebra._delta_operator(mu.coeff)
+    herm = algebra._hermitian_param_basis(n).reshape(n * n, n * n)
+    got = algebra._hermitian_images(m, n)
+    assert got.shape == (m.shape[0], n * n)
+    assert np.allclose(got, m @ herm.T, rtol=1e-15, atol=0)
+
+
+def _delta_reference(c, a):
+    """delta_c(A) term by term, as in its definition."""
+    t1 = np.einsum("...pi,pjk->...ijk", a, c)
+    t2 = np.einsum("...pj,ipk->...ijk", a, c)
+    t3 = np.einsum("...kr,ijr->...ijk", a, c)
+    return t1 + t2 - t3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_delta_kernel_matches_einsum_reference(n, batch, seed):
+    rng = np.random.default_rng(seed)
+    c = StructureTensor(rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n)))
+    c = c.normalized().coeff if not c.is_zero() else c.coeff
+    a = rng.standard_normal((*batch, n, n)) + 1j * rng.standard_normal((*batch, n, n))
+    got = algebra._delta_coeff(c, a)
+    assert got.shape == (*batch, n, n, n)
+    assert np.allclose(got, _delta_reference(c, a), rtol=0, atol=1e-13)
+    assert np.array_equal(got, -np.swapaxes(got, -3, -2))  # antisymmetric exactly
 
 
 class TestDerivations:

@@ -24,7 +24,7 @@ from skewflow import (
     resolve,
     stratum_label,
 )
-from skewflow.flow import _coords, _hessian, _polish_basis, _state, _tangent
+from skewflow.flow import _from_coords, _hessian, _state, _to_coords
 from skewflow.moment import _moment_coeff
 
 FAST = FlowParams(max_steps=50_000)
@@ -191,24 +191,34 @@ def test_trace_dataclass_defaults():
     assert t.samples == [] and t.limit is None and not t.converged
 
 
+def _antisymmetric(rng, n):
+    x = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    return x - x.transpose(1, 0, 2)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_polish_basis_is_orthonormal_and_antisymmetric(n):
-    basis = _polish_basis(n)
-    assert basis.shape == (n * n * (n - 1), n, n, n)
-    flat = basis.reshape(len(basis), -1)
-    gram = (flat @ flat.conj().T).real  # Re<b_a, b_b>
-    assert np.allclose(gram, np.eye(len(basis)), rtol=0, atol=1e-15)
-    assert np.array_equal(basis, -basis.transpose(0, 2, 1, 3))
+def test_polish_coordinates_are_an_isometry(n):
+    rng = np.random.default_rng(n)
+    x, w = _antisymmetric(rng, n), _antisymmetric(rng, n)
+    cx, cw = _to_coords(x), _to_coords(w)
+    assert cx.shape == (n * n * (n - 1),)
+    # Re<x, w> = cx . cw, to rounding
+    assert cx @ cw == pytest.approx(np.vdot(w, x).real, rel=1e-14, abs=1e-14)
+    back = _from_coords(cx, n)
+    assert np.array_equal(back, -back.transpose(1, 0, 2))
+    # one rounding of the sqrt(2) scale each way
+    assert np.all(np.abs(back - x) <= 4e-16 * np.abs(x))
+    y = rng.standard_normal(n * n * (n - 1))
+    assert np.all(np.abs(_to_coords(_from_coords(y, n)) - y) <= 4e-16 * np.abs(y))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_polish_hessian_matches_second_difference(n):
     # x^T H x is the second derivative of tr(R^2) along the great circle
     # cos(t) mu + sin(t) v through mu in the unit tangent direction v
     rng = np.random.default_rng(40 + n)
     mu = random_tensor(n, seed=40 + n).normalized().coeff
-    basis = _polish_basis(n)
-    hess = _hessian(_state(mu), basis)
+    hess = _hessian(_state(mu))
 
     def energy(t, v):
         r = _moment_coeff(np.cos(t) * mu + np.sin(t) * v)
@@ -216,16 +226,45 @@ def test_polish_hessian_matches_second_difference(n):
 
     h = 1e-4
     for _ in range(3):
-        v = _tangent(mu, np.tensordot(rng.standard_normal(len(basis)), basis, 1))
+        v = _from_coords(rng.standard_normal(n * n * (n - 1)), n)
+        v -= np.vdot(mu, v).real * mu
         v /= np.linalg.norm(v)
-        x = _coords(basis, v)
+        x = _to_coords(v)
         second = (energy(h, v) - 2.0 * energy(0.0, v) + energy(-h, v)) / h**2
         assert x @ hess @ x == pytest.approx(second, rel=1e-6)
+
+
+def test_polish_hessian_vanishes_in_dimension_two():
+    # at n = 2, R has eigenvalues -4|c01|^2 and 0 for every c, so tr(R^2) is
+    # constant on the sphere and a second difference is only rounding
+    for seed in range(3):
+        mu = random_tensor(2, seed=seed).normalized().coeff
+        assert np.abs(_hessian(_state(mu))).max() <= 1e-13
 
 
 # g6 and g7 end on a mid-descent polish, n4 is critical at the start, and
 # g5 and g2(1/27, 1/3) end through the post-loop check and the end polish
 CERTIFY_STARTS = {"g6": (), "g7": (), "n4": (), "g5": (), "g2": (1 / 27, 1 / 3)}
+
+
+@pytest.mark.parametrize("name", ["g7", "g2"])
+def test_iterates_and_limit_stay_exactly_antisymmetric(name, monkeypatch):
+    # g7 ends on a mid-descent polish, g2(1/27, 1/3) on the end polish
+    flow_module = sys.modules["skewflow.flow"]
+    state = flow_module._state
+    seen = []
+
+    def recording(mu):
+        seen.append(mu)
+        return state(mu)
+
+    monkeypatch.setattr(flow_module, "_state", recording)
+    trace = flow(dim4_family(name, CERTIFY_STARTS[name]).tensor, FAST)
+    assert trace.converged and len(seen) >= len(trace.samples)
+    for mu in seen:
+        assert np.array_equal(mu, -mu.transpose(1, 0, 2))
+    # so antisymmetrizing the limit into a StructureTensor leaves it as is
+    assert any(np.array_equal(trace.limit.coeff, mu) for mu in seen)
 
 
 @pytest.mark.parametrize("name", list(CERTIFY_STARTS))

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewflow import (
     StructureTensor,
     act,
     criticality,
     dim4_family,
+    delta,
     gradient,
+    hermitian_part,
     inner_product,
     moment_map,
     mu_he,
@@ -14,6 +18,7 @@ from skewflow import (
     scalar_F,
     tangential_gradient,
 )
+from skewflow.moment import _moment_coeff
 
 
 def _unitary(rng, n):
@@ -25,6 +30,40 @@ def test_moment_map_hermitian():
     for seed in range(5):
         r = moment_map(random_tensor(4, seed=seed))
         assert np.allclose(r, r.conj().T)
+
+
+def _moment_reference(c):
+    """R of the module docstring, sum by sum."""
+    cbar = np.conj(c)
+    r = -4.0 * np.einsum("pij,rij->rp", c, cbar) + 2.0 * np.einsum("ijp,ijr->rp", cbar, c)
+    return hermitian_part(r)
+
+
+def _unit_tensor(rng, n):
+    mu = StructureTensor(rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n)))
+    return mu if mu.is_zero() else mu.normalized()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_moment_kernel_matches_einsum_reference(n, seed):
+    c = _unit_tensor(np.random.default_rng(seed), n).coeff
+    r = _moment_coeff(c)
+    assert np.allclose(r, _moment_reference(c), rtol=0, atol=1e-13)
+    assert np.array_equal(r, r.conj().T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_moment_map_is_dual_to_delta(n, seed):
+    # tr(R A) = -2 Re<delta_mu(A), mu> for hermitian A: the identity behind
+    # the curvature term of the polish Hessian
+    rng = np.random.default_rng(seed)
+    mu = _unit_tensor(rng, n)
+    a = hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    lhs = np.trace(moment_map(mu) @ a).real
+    rhs = -2.0 * inner_product(delta(mu, a), mu).real
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
 
 
 def test_trace_identity():
