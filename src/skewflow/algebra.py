@@ -26,7 +26,6 @@ __all__ = [
     "StructureTensor",
     "DerivationBasis",
     "StructureInvariants",
-    "bracket_eval",
     "jacobi_residual",
     "act",
     "inner_product",
@@ -125,15 +124,6 @@ class StructureTensor:
         return f"StructureTensor(dim={self.dim}, nonzeros={nz}, norm={self.norm():.6g})"
 
 
-def bracket_eval(mu: StructureTensor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Evaluate mu(X, Y) by contraction."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.shape != (mu.dim,) or y.shape != (mu.dim,):
-        raise ValueError("vector length must match tensor dimension")
-    return np.einsum("i,j,ijk->k", x, y, mu.coeff)
-
-
 def jacobi_residual(mu: StructureTensor) -> float:
     """Frobenius norm of the cyclic Jacobi sum over all basis triples.
 
@@ -208,24 +198,6 @@ def delta_star(mu: StructureTensor, lam: StructureTensor) -> np.ndarray:
     return a1 + a2 - a3
 
 
-def _hermitian_param_basis(n: int) -> np.ndarray:
-    """Real basis of hermitian n x n matrices, shape (n*n, n, n)."""
-    basis = np.zeros((n * n, n, n), dtype=complex)
-    idx = 0
-    for i in range(n):
-        basis[idx, i, i] = 1.0
-        idx += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            basis[idx, i, j] = 1.0
-            basis[idx, j, i] = 1.0
-            idx += 1
-            basis[idx, i, j] = 1.0j
-            basis[idx, j, i] = -1.0j
-            idx += 1
-    return basis
-
-
 def _delta_operator(c: np.ndarray) -> np.ndarray:
     """Matrix (n^2 (n-1)/2 * n, n^2) of A -> delta(A), rows (i < j, k).
 
@@ -243,28 +215,69 @@ def _delta_operator(c: np.ndarray) -> np.ndarray:
     return (m1 + m2 - m3).reshape(len(iu) * n, n * n)
 
 
-def _hermitian_images(op: np.ndarray, n: int) -> np.ndarray:
-    """op @ h.ravel() for each h of _hermitian_param_basis(n), as columns.
+def _hermitian_coords(a: np.ndarray) -> np.ndarray:
+    """Isometric real coordinates (Frobenius norm) of hermitian matrices.
 
-    Each parameter matrix has one or two unit entries, so its image is a
-    column of op or the sum of two: op[:, ii], op[:, ij] + op[:, ji] and
-    1j (op[:, ij] - op[:, ji]).  Filled row i of the pairs at a time, from
-    views of op, so no copy of op's columns is made.
+    Works along the last two axes: the diagonal, then sqrt(2) times the real
+    and the imaginary parts of the entries above it.
+    """
+    n = a.shape[-1]
+    iu, ju = np.triu_indices(n, k=1)
+    upper = a[..., iu, ju]
+    return np.concatenate(
+        [
+            np.real(np.diagonal(a, axis1=-2, axis2=-1)),
+            np.sqrt(2.0) * upper.real,
+            np.sqrt(2.0) * upper.imag,
+        ],
+        axis=-1,
+    )
+
+
+def _hermitian_from_coords(x: np.ndarray, n: int) -> np.ndarray:
+    """The exactly hermitian n x n matrices with _hermitian_coords x.
+
+    Works along the last axis of x, which has n^2 entries.
+    """
+    iu, ju = np.triu_indices(n, k=1)
+    p = len(iu)
+    upper = np.sqrt(0.5) * (x[..., n : n + p] + 1j * x[..., n + p :])
+    a = np.zeros((*x.shape[:-1], n, n), dtype=complex)
+    a[..., np.arange(n), np.arange(n)] = x[..., :n]
+    a[..., iu, ju] = upper
+    a[..., ju, iu] = np.conj(upper)
+    return a
+
+
+def _hermitian_system(op: np.ndarray, n: int) -> np.ndarray:
+    """Real matrix [Re; Im] of x -> op @ _hermitian_from_coords(x, n).ravel().
+
+    Column k is the image of the k-th orthonormal hermitian basis matrix:
+    E_ii, then (E_ij + E_ji) / sqrt(2) and i (E_ij - E_ji) / sqrt(2) for
+    i < j.  These are op[:, ii], (op[:, ij] + op[:, ji]) / sqrt(2) and
+    1j (op[:, ij] - op[:, ji]) / sqrt(2), filled row i of the pairs at a
+    time from views of op's real and imaginary parts, so no copy of op's
+    columns is made.
     """
     m = len(op)
-    img = np.empty((m, n * n), dtype=complex)
-    img[:, :n] = op[:, :: n + 1]
-    pairs = img[:, n:].reshape(m, n * (n - 1) // 2, 2)  # a view of img
-    cols = op.reshape(m, n, n)
+    p = n * (n - 1) // 2
+    re, im = op.real.reshape(m, n, n), op.imag.reshape(m, n, n)
+    out = np.empty((2, m, n * n))
+    out[0, :, :n] = op.real[:, :: n + 1]
+    out[1, :, :n] = op.imag[:, :: n + 1]
+    sym, skew = out[..., n : n + p], out[..., n + p :]
     start = 0
     for i in range(n - 1):
-        upper, lower = cols[:, i, i + 1 :], cols[:, i + 1 :, i]
-        out = pairs[:, start : start + n - 1 - i]
-        np.add(upper, lower, out=out[..., 0])
-        np.subtract(upper, lower, out=out[..., 1])
-        out[..., 1] *= 1j
+        cut = slice(start, start + n - 1 - i)
+        upper_re, lower_re = re[:, i, i + 1 :], re[:, i + 1 :, i]
+        upper_im, lower_im = im[:, i, i + 1 :], im[:, i + 1 :, i]
+        np.add(upper_re, lower_re, out=sym[0, :, cut])
+        np.add(upper_im, lower_im, out=sym[1, :, cut])
+        np.subtract(lower_im, upper_im, out=skew[0, :, cut])
+        np.subtract(upper_re, lower_re, out=skew[1, :, cut])
         start += n - 1 - i
-    return img
+    out[..., n:] *= np.sqrt(0.5)
+    return out.reshape(2 * m, n * n)
 
 
 def _null_rows(m: np.ndarray, rcond: float) -> np.ndarray:
@@ -284,11 +297,12 @@ def _null_rows(m: np.ndarray, rcond: float) -> np.ndarray:
 class DerivationBasis:
     """Orthonormal bases of the derivation algebra of a tensor.
 
-    complex_basis spans Der(mu) over C, orthonormal for the Frobenius
-    product; hermitian_basis spans the real subspace of hermitian
-    derivations, orthonormal in the real coordinates of
-    _hermitian_param_basis.  Shapes: (dim, n, n).  Each basis is computed
-    from the nonzero rows of A -> delta_mu(A) on first access, then cached.
+    complex_basis spans Der(mu) over C and hermitian_basis spans the real
+    subspace of hermitian derivations, both orthonormal for the Frobenius
+    product.  The hermitian one is the kernel of _hermitian_system in the
+    isometric coordinates of _hermitian_coords, so it is exactly hermitian.
+    Shapes: (dim, n, n).  Each basis is computed from the nonzero rows of
+    A -> delta_mu(A) on first access, then cached.
     """
 
     def __init__(self, mu: StructureTensor, tol: float = DEFAULT_NULLSPACE_TOL):
@@ -303,14 +317,11 @@ class DerivationBasis:
 
     @cached_property
     def hermitian_basis(self) -> np.ndarray:
-        # hermiticity is only R-linear: solve over R on n^2 real parameters
+        # hermiticity is only R-linear: solve over R on n^2 real coordinates
         n = self._n
-        herm = _hermitian_param_basis(n).reshape(n * n, n * n)
-        img = _hermitian_images(self._operator, n)
-        rows = _null_rows(np.concatenate([img.real, img.imag]), self._tol)
-        basis = (rows @ herm).reshape(-1, n, n)
-        # re-exactify hermiticity against rounding
-        return 0.5 * (basis + np.conj(basis.transpose(0, 2, 1)))
+        return _hermitian_from_coords(
+            _null_rows(_hermitian_system(self._operator, n), self._tol), n
+        )
 
     @property
     def dim_complex(self) -> int:
@@ -326,8 +337,8 @@ def derivation_algebra(
 ) -> DerivationBasis:
     """Nullspace of A -> delta_mu(A), by singular-value thresholding.
 
-    Gives both the complex derivation algebra and a real orthonormal basis
-    of its hermitian part; each is computed when first read.
+    Gives Frobenius-orthonormal bases of the complex derivation algebra and,
+    over R, of its hermitian part; each is computed when first read.
     """
     return DerivationBasis(mu, tol)
 

@@ -30,6 +30,7 @@ from .tensorio import (
     tensor_from_json,
     tensor_read,
     tensor_to_json,
+    tensor_write,
     trace_write,
     type_to_dict,
 )
@@ -297,8 +298,7 @@ def _flow_summary(trace, base):
 
 def _write_flow_outputs(trace, base) -> None:
     trace_write(f"{base}_trace.csv", trace)
-    with open(f"{base}_limit.json", "w") as fh:
-        fh.write(tensor_to_json(trace.limit))
+    tensor_write(f"{base}_limit.json", trace.limit)
 
 
 def _cmd_flow(args) -> int:

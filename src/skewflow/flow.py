@@ -26,16 +26,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import StructureTensor, _delta_coeff, _delta_operator, _hermitian_images
+from .algebra import StructureTensor, _delta_coeff, _delta_operator, _hermitian_system
 from .classify import CriticalType, TypeExtractionError, extract_type
 from .moment import CriticalReport, _moment_coeff, criticality
 
 __all__ = [
     "FlowParams",
     "FlowTrace",
-    "ConvergenceError",
     "flow",
-    "stratum_label",
     "flow_batch",
 ]
 
@@ -48,10 +46,6 @@ _PLATEAU_WINDOW = 1024  # accepted steps per energy-progress window
 _POLISH_GATE = 1e-2  # only polish when the tangential gradient is this small
 _POLISH_ROUNDS = 40
 _FIRST_POLISH = 512  # accepted-step count for the first mid-descent polish try
-
-
-class ConvergenceError(RuntimeError):
-    """The flow stopped without certifying a critical point."""
 
 
 @dataclass(frozen=True)
@@ -138,7 +132,9 @@ def _hessian(s: _State) -> np.ndarray:
     coordinates.  For the second, tr(R A) = -2 Re<delta_mu(A), mu> for
     hermitian A (R is a moment map) gives tr(dR[v] A) =
     -4 Re<delta_mu(A), v>, so the term is 32 L L^T with L the real matrix
-    of A -> delta_mu(A) on an orthonormal hermitian basis.  The tangent
+    of A -> delta_mu(A) from the isometric coordinates of hermitian A to
+    polish coordinates: sqrt(2) times the _hermitian_system of the i < j
+    delta operator, as polish coordinates are sqrt(2) (Re, Im).  The tangent
     projection P = I - x x^T (x the coordinates of mu) and the sphere
     term -lambda P, lambda = Re<mu, g_amb>, are rank-one updates.
     """
@@ -152,11 +148,7 @@ def _hessian(s: _State) -> np.ndarray:
     k = np.kron(wedge, eye) - np.kron(np.eye(len(iu)), r)
     h = -8.0 * np.block([[k.real, -k.imag], [k.imag, k.real]])
 
-    img = _hermitian_images(_delta_operator(mu), n)
-    # polish coordinates sqrt(2) (Re, Im) of the images of an orthonormal
-    # hermitian basis: the diagonal parameter matrices and the others / sqrt(2)
-    scale = np.where(np.arange(n * n) < n, np.sqrt(2.0), 1.0)
-    lmat = np.concatenate([img.real, img.imag]) * scale
+    lmat = np.sqrt(2.0) * _hermitian_system(_delta_operator(mu), n)
     h += 32.0 * (lmat @ lmat.T)
 
     x = _to_coords(mu)
@@ -303,20 +295,6 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
         except TypeExtractionError as exc:
             trace.error = f"type extraction failed at the limit: {exc}"
     return trace
-
-
-def stratum_label(mu0: StructureTensor, params: FlowParams | None = None) -> CriticalType:
-    """Type of the flow limit, labeling the stratum containing mu0."""
-    trace = flow(mu0, params)
-    if not trace.converged:
-        raise ConvergenceError(
-            "flow did not converge "
-            f"(residual {trace.limit_report.residual:.3g} after "
-            f"{trace.samples[-1][0]} steps)"
-        )
-    if trace.stratum is None:
-        raise ConvergenceError(trace.error or "limit type unavailable")
-    return trace.stratum
 
 
 def flow_batch(inputs, params: FlowParams | None = None) -> list:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .algebra import (
     StructureTensor,
+    _hermitian_coords,
     delta,
     derivation_algebra,
     hermitian_part,
@@ -34,7 +35,6 @@ __all__ = [
     "moment_map",
     "scalar_F",
     "gradient",
-    "tangential_gradient",
     "criticality",
 ]
 
@@ -71,12 +71,6 @@ def gradient(mu: StructureTensor) -> StructureTensor:
     return StructureTensor(-8.0 * delta(mu, moment_map(mu)).coeff)
 
 
-def tangential_gradient(v: StructureTensor, mu: StructureTensor) -> StructureTensor:
-    """Component of v tangent to the sphere through mu: v - Re<v,mu> mu/||mu||^2."""
-    coeff = np.vdot(mu.coeff, v.coeff).real / np.vdot(mu.coeff, mu.coeff).real
-    return StructureTensor(v.coeff - coeff * mu.coeff)
-
-
 @dataclass(frozen=True)
 class CriticalReport:
     """Criticality certificate at the normalized tensor.
@@ -94,25 +88,6 @@ class CriticalReport:
 
     def d_eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.D_mu)
-
-
-def _hermitian_coords(a: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates (Frobenius norm) of hermitian matrices.
-
-    Works along the last two axes: the diagonal, then sqrt(2) times the real
-    and the imaginary parts of the entries above it.
-    """
-    n = a.shape[-1]
-    iu, ju = np.triu_indices(n, k=1)
-    upper = a[..., iu, ju]
-    return np.concatenate(
-        [
-            np.real(np.diagonal(a, axis1=-2, axis2=-1)),
-            np.sqrt(2.0) * upper.real,
-            np.sqrt(2.0) * upper.imag,
-        ],
-        axis=-1,
-    )
 
 
 def criticality(

@@ -9,7 +9,6 @@ from skewflow import (
     StructureTensor,
     all_entries,
     act,
-    bracket_eval,
     commutator,
     criticality,
     delta,
@@ -83,17 +82,6 @@ class TestStructureTensor:
         b = StructureTensor.from_brackets(3, {(0, 1): {2: 1}})
         assert a == b and hash(a) == hash(b)
         assert a != mu_he(4).tensor
-
-
-def test_bracket_eval_sl2():
-    t = sl2_compact().tensor
-    e = np.eye(3, dtype=complex)
-    assert np.allclose(bracket_eval(t, e[0], e[1]), e[2])
-    assert np.allclose(bracket_eval(t, e[1], e[2]), e[0])
-    assert np.allclose(bracket_eval(t, e[0], e[2]), -e[1])
-    # bilinear antisymmetric
-    x = np.array([1.0, 2.0, -1.0j])
-    assert np.allclose(bracket_eval(t, x, x), 0.0)
 
 
 def test_jacobi_residual_zero_on_lie_positive_otherwise():
@@ -170,13 +158,39 @@ def test_delta_operator_is_delta_on_upper_pairs(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_hermitian_images_are_operator_columns(n):
-    mu = random_tensor(max(n, 2), seed=60 + n) if n > 1 else StructureTensor.zero(1)
+def test_hermitian_system_is_delta_on_the_orthonormal_basis(n):
+    mu = random_tensor(n, seed=60 + n) if n > 1 else StructureTensor.zero(1)
     m = algebra._delta_operator(mu.coeff)
-    herm = algebra._hermitian_param_basis(n).reshape(n * n, n * n)
-    got = algebra._hermitian_images(m, n)
-    assert got.shape == (m.shape[0], n * n)
-    assert np.allclose(got, m @ herm.T, rtol=1e-15, atol=0)
+    got = algebra._hermitian_system(m, n)
+    assert got.shape == (2 * m.shape[0], n * n) and np.isrealobj(got)
+    iu, ju = np.triu_indices(n, k=1)
+    for k, e in enumerate(np.eye(n * n)):
+        h = algebra._hermitian_from_coords(e, n)
+        expected = delta(mu, h).coeff[iu, ju].ravel()
+        column = got[: m.shape[0], k] + 1j * got[m.shape[0] :, k]
+        assert np.allclose(column, expected, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hermitian_coordinates_are_an_exact_isometry(n, batch, seed):
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((2, *batch, n * n))
+    a = algebra._hermitian_from_coords(x, n)
+    b = algebra._hermitian_from_coords(y, n)
+    assert a.shape == (*batch, n, n)
+    assert np.array_equal(a, np.conj(np.swapaxes(a, -1, -2)))  # hermitian exactly
+    assert np.allclose(algebra._hermitian_coords(a), x, rtol=0, atol=1e-14)
+    # Frobenius isometry: Re tr(A B*) = x . y
+    frob = np.einsum("...ij,...ij->...", a, np.conj(b)).real
+    assert np.allclose(frob, np.einsum("...i,...i->...", x, y), rtol=0, atol=1e-12)
+    h = hermitian_part(_rand_matrix(rng, n))
+    assert np.allclose(algebra._hermitian_from_coords(algebra._hermitian_coords(h), n), h,
+                       rtol=0, atol=1e-14)
 
 
 def _delta_reference(c, a):
@@ -268,16 +282,6 @@ def _pinned_inputs():
             yield f"random({n},{seed})", random_tensor(n, seed), dims
 
 
-def _param_coords(h):
-    """Coordinates of a hermitian matrix in the parameter basis of derivation_algebra."""
-    n = h.shape[0]
-    out = [h[i, i].real for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            out += [h[i, j].real, h[i, j].imag]
-    return np.array(out)
-
-
 NULLITY_INPUTS = [
     mu_A(nilpotent_normal_form((1, 1, 1, 1, 1, 1))).tensor,  # n = 13
     mu_A(nilpotent_normal_form((3, 2))).tensor,
@@ -300,11 +304,9 @@ class TestDerivationDims:
             ders = derivation_algebra(mu)
             assert (ders.dim_complex, ders.dim_hermitian) == dims, name
             n = mu.dim
-            flat = ders.complex_basis.reshape(-1, n * n)
-            assert np.allclose(flat @ flat.conj().T, np.eye(len(flat)), atol=1e-12), name
-            coords = np.array([_param_coords(h) for h in ders.hermitian_basis])
-            coords = coords.reshape(-1, n * n)
-            assert np.allclose(coords @ coords.T, np.eye(len(coords)), atol=1e-12), name
+            for basis in (ders.complex_basis, ders.hermitian_basis):  # Frobenius-orthonormal
+                flat = basis.reshape(-1, n * n)
+                assert np.allclose(flat @ flat.conj().T, np.eye(len(flat)), atol=1e-12), name
             bound = 1e-12 * max(mu.norm(), 1.0)
             for dmat in (*ders.complex_basis, *ders.hermitian_basis):
                 assert delta(mu, dmat).norm() <= bound, name
@@ -321,9 +323,7 @@ class TestDerivationDims:
     def test_zero_rows_change_no_kernel(self, mu):
         n = mu.dim
         m = algebra._delta_operator(mu.coeff)
-        herm = algebra._hermitian_param_basis(n).reshape(n * n, n * n)
-        img = m @ herm.T
-        for system in (m, np.concatenate([img.real, img.imag])):
+        for system in (m, algebra._hermitian_system(m, n)):
             ref = null_space(system, rcond=1e-9)
             ref_proj = ref @ ref.conj().T
             zeros = np.zeros_like(system)

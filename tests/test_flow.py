@@ -7,7 +7,6 @@ from skewflow import (
     DEFAULT_PARAMS,
     DIM4_FAMILY_NAMES,
     EXCLUDED_ORBITS,
-    ConvergenceError,
     CriticalType,
     FlowParams,
     FlowTrace,
@@ -22,7 +21,6 @@ from skewflow import (
     mu_he,
     random_tensor,
     resolve,
-    stratum_label,
 )
 from skewflow.flow import _from_coords, _hessian, _state, _to_coords
 from skewflow.moment import _moment_coeff
@@ -154,17 +152,6 @@ def test_random_starts_converge():
         assert trace.converged
         rep = criticality(trace.limit)
         assert rep.is_critical
-
-
-class TestStratumLabel:
-    def test_labels(self):
-        assert stratum_label(dim4_family("g6").tensor, FAST) == CriticalType(
-            (0, 1, 2), (1, 2, 1)
-        )
-
-    def test_raises_on_budget_exhaustion(self):
-        with pytest.raises(ConvergenceError):
-            stratum_label(dim4_family("g7").tensor, FlowParams(max_steps=2))
 
 
 class TestFlowBatch:

@@ -1,0 +1,73 @@
+"""The public API stays only as large as the program itself needs."""
+
+import ast
+from pathlib import Path
+
+import skewflow
+
+ROOT = Path(__file__).resolve().parents[1]
+USERS = ("src", "demos", "perfbench")
+
+# Exported names with no caller yet, each waiting for the ROADMAP item that
+# gives it one (or deletes it).
+WAITING = {
+    "delta_star": "item 1: the orbit Newton polish solves S = herm(delta*(...))",
+    "h_alpha": "item 2: kernel of the retraction to the orbit closure",
+    "v_alpha_membership": "item 2: kernel of the retraction to the orbit closure",
+}
+
+
+def _references(tree):
+    """Names a module uses, leaving out each definition's own body.
+
+    A name counts where it is read as a variable or an attribute, or given
+    as a string (a patch by attribute name, a string annotation).  Import
+    aliases and the strings of an __all__ list are not uses, and neither is
+    a function or class naming itself inside its own body.
+    """
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            name = None
+        if name is not None and name not in inside:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def _used_names():
+    used = set()
+    for top in USERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if "tests" in path.relative_to(ROOT).parts:
+                continue
+            used |= _references(ast.parse(path.read_text(), filename=str(path)))
+    return used
+
+
+def test_every_export_has_a_caller_outside_tests():
+    used = _used_names()
+    unused = [name for name in skewflow.__all__ if name not in used and name not in WAITING]
+    assert unused == [], f"exported but used only by tests: {unused}"
+
+
+def test_waiting_exports_are_still_exported_and_unused():
+    used = _used_names()
+    assert set(WAITING) <= set(skewflow.__all__)
+    assert sorted(set(WAITING) & used) == []  # a caller arrived: drop the entry
