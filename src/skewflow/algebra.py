@@ -17,7 +17,7 @@ over *ordered* index pairs, so each unordered pair (i, j) contributes twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import svd
@@ -198,6 +198,18 @@ def delta_star(mu: StructureTensor, lam: StructureTensor) -> np.ndarray:
     return a1 + a2 - a3
 
 
+@lru_cache(maxsize=32)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the i < j entries of an n x n matrix.
+
+    The same arrays as np.triu_indices(n, k=1), built once per n and
+    read-only, because every caller shares them.
+    """
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def _delta_operator(c: np.ndarray) -> np.ndarray:
     """Matrix (n^2 (n-1)/2 * n, n^2) of A -> delta(A), rows (i < j, k).
 
@@ -207,7 +219,7 @@ def _delta_operator(c: np.ndarray) -> np.ndarray:
     """
     n = c.shape[0]
     eye = np.eye(n)
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _upper_pairs(n)
     # delta(E_uv)[i,j,k] = d(i,v) c[u,j,k] + d(j,v) c[i,u,k] - d(k,u) c[i,j,v]
     m1 = np.einsum("pv,upk->pkuv", eye[iu], c[:, ju])
     m2 = np.einsum("pv,puk->pkuv", eye[ju], c[iu])
@@ -222,7 +234,7 @@ def _hermitian_coords(a: np.ndarray) -> np.ndarray:
     and the imaginary parts of the entries above it.
     """
     n = a.shape[-1]
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _upper_pairs(n)
     upper = a[..., iu, ju]
     return np.concatenate(
         [
@@ -239,7 +251,7 @@ def _hermitian_from_coords(x: np.ndarray, n: int) -> np.ndarray:
 
     Works along the last axis of x, which has n^2 entries.
     """
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _upper_pairs(n)
     p = len(iu)
     upper = np.sqrt(0.5) * (x[..., n : n + p] + 1j * x[..., n + p :])
     a = np.zeros((*x.shape[:-1], n, n), dtype=complex)

@@ -26,7 +26,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import StructureTensor, _delta_coeff, _delta_operator, _hermitian_system
+from .algebra import (
+    StructureTensor,
+    _delta_coeff,
+    _delta_operator,
+    _hermitian_system,
+    _upper_pairs,
+)
 from .classify import CriticalType, TypeExtractionError, extract_type
 from .moment import CriticalReport, _moment_coeff, criticality
 
@@ -107,14 +113,14 @@ def _to_coords(x: np.ndarray) -> np.ndarray:
     for i < j (in triu order) and k: n^2 (n-1) reals, an isometry for
     Re<., .> on the antisymmetric tensors.
     """
-    iu, ju = np.triu_indices(x.shape[0], k=1)
+    iu, ju = _upper_pairs(x.shape[0])
     half = x[iu, ju].ravel()
     return np.concatenate([np.sqrt(2.0) * half.real, np.sqrt(2.0) * half.imag])
 
 
 def _from_coords(y: np.ndarray, n: int) -> np.ndarray:
     """The antisymmetric (n, n, n) tensor with polish coordinates y."""
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _upper_pairs(n)
     m = len(y) // 2
     half = (np.sqrt(0.5) * (y[:m] + 1j * y[m:])).reshape(len(iu), n)
     x = np.zeros((n, n, n), dtype=complex)
@@ -140,7 +146,7 @@ def _hessian(s: _State) -> np.ndarray:
     """
     mu, r = s.mu, s.r
     n = mu.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _upper_pairs(n)
     eye = np.eye(n)
     ij, ji = iu * n + ju, ju * n + iu
     pair = np.kron(r.T, eye) + np.kron(eye, r.T)  # R^T on both slots
@@ -160,7 +166,7 @@ def _hessian(s: _State) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
-def _newton_polish(s: _State, f_cap: float, report_fn, report):
+def _newton_polish(s: _State, f_cap: float, report_fn, report=None):
     """Sharpen a near-stationary point by Newton steps on the gradient.
 
     The descent's energy comparisons go blind once tr(R^2) reaches its
@@ -170,18 +176,23 @@ def _newton_polish(s: _State, f_cap: float, report_fn, report):
     directions, and on degenerate approaches the curvature of the slow
     directions itself decays toward zero, so each round tries truncated
     pseudoinverses over a ladder of spectral cutoffs and then damped
-    (Levenberg-Marquardt) solves, keeping whichever candidate most shrinks
-    the criticality residual — the certificate being chased — without
-    raising the energy above f_cap.  The linear algebra runs in the
-    n^2 (n-1) polish coordinates of _to_coords, sqrt(2) (Re, Im) of the
-    entries [i, j, k] with i < j; a solution goes back to a tensor by
-    _from_coords, a scatter into the [i, j] and [j, i] halves.  _hessian
-    builds the matrix from the structured pieces without any basis of
-    tensors.  Returns the refined state and report.
+    (Levenberg-Marquardt) solves, skipping any that raise the energy above
+    f_cap.  The first candidate whose criticality certificate passes ends
+    the polish.  A round that certifies none moves to the candidate with
+    the smallest residual if that is below 0.9 times the current point's,
+    and ends the polish otherwise.  report is the current point's
+    certificate, or None when the caller has not computed it; report_fn(s)
+    then runs only where it is read, after a round that certifies nothing
+    or on return.  The linear algebra runs in the n^2 (n-1) polish
+    coordinates of _to_coords, sqrt(2) (Re, Im) of the entries [i, j, k]
+    with i < j; a solution goes back to a tensor by _from_coords, a scatter
+    into the [i, j] and [j, i] halves.  _hessian builds the matrix from the
+    structured pieces without any basis of tensors.  Returns the refined
+    state and report.
     """
     n = s.mu.shape[0]
     for _ in range(_POLISH_ROUNDS):
-        if report.is_critical or s.gnorm <= 1e-13:
+        if s.gnorm <= 1e-13:
             break
         evals, q = np.linalg.eigh(_hessian(s))
         rhs = q.T @ _to_coords(-s.g_tan)
@@ -212,12 +223,18 @@ def _newton_polish(s: _State, f_cap: float, report_fn, report):
             if t.f > f_cap:
                 continue
             rep_t = report_fn(t)
+            if rep_t.is_critical:
+                return t, rep_t
             if chosen is None or rep_t.residual < chosen[1].residual:
                 chosen = (t, rep_t)
+        if report is None:
+            report = report_fn(s)
         if chosen is None or chosen[1].residual >= 0.9 * report.residual:
             break
         s, report = chosen
         f_cap = s.f + _F_SLACK
+    if report is None:
+        report = report_fn(s)
     return s, report
 
 
@@ -228,11 +245,12 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
     step size underflows or the energy plateaus at its rounding floor, at
     max_steps, or when a Newton polish certifies a critical point.  The
     criticality residual is computed only where the flow can stop: at the
-    start, at the start of each polish, and once at the end, where a point
-    that is not yet certified gets a last polish.  converged reflects that
-    final residual test only.  So a loosened crit_tol does not cut the
-    descent short: the flow still runs to its first polish (after 512
-    accepted steps) or to one of the other stops.
+    start, on polish candidates up to the first certified one, at a polish's
+    entry point only when a round certifies nothing, and once at the end,
+    where a point that is not yet certified gets a last polish.  converged
+    reflects that final residual test only.  So a loosened crit_tol does not
+    cut the descent short: the flow still runs to its first polish (after
+    512 accepted steps) or to one of the other stops.
     """
     if params is None:
         params = FlowParams()
@@ -264,7 +282,7 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
                 # slowly converging trajectories: try an early polish
                 if accepted >= next_polish and s.gnorm < _POLISH_GATE:
                     next_polish *= 4
-                    s, report = _newton_polish(s, s.f + _F_SLACK, _report, _report(s))
+                    s, report = _newton_polish(s, s.f + _F_SLACK, _report)
                     if report.is_critical:
                         break
                     h = _INITIAL_STEP

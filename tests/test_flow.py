@@ -256,6 +256,9 @@ def test_iterates_and_limit_stay_exactly_antisymmetric(name, monkeypatch):
 
 @pytest.mark.parametrize("name", list(CERTIFY_STARTS))
 def test_each_point_is_certified_once(name, monkeypatch):
+    # a polish entered mid-descent certifies its entry point only when a
+    # round certifies no candidate, and the end polish reuses the flow's
+    # report, so no point, a polish's entry point included, is certified twice
     flow_module = sys.modules["skewflow.flow"]
     seen = []
 
@@ -270,8 +273,8 @@ def test_each_point_is_certified_once(name, monkeypatch):
 
 @pytest.mark.parametrize("name", list(CERTIFY_STARTS))
 def test_certificates_only_where_the_flow_can_stop(name, monkeypatch):
-    # outside the polish the flow certifies its start, the start of each
-    # polish and its end: at most 2 + (number of polishes) checks
+    # outside the polish the flow certifies only its start and its end; a
+    # polish certifies its own entry point where it reads that certificate
     flow_module = sys.modules["skewflow.flow"]
     polish = flow_module._newton_polish
     counts = {"outside": 0, "polishes": 0}
@@ -293,7 +296,59 @@ def test_certificates_only_where_the_flow_can_stop(name, monkeypatch):
     monkeypatch.setattr(flow_module, "criticality", recording)
     monkeypatch.setattr(flow_module, "_newton_polish", wrapped)
     assert flow(dim4_family(name, CERTIFY_STARTS[name]).tensor, FAST).converged
-    assert counts["outside"] <= 2 + counts["polishes"]
+    assert counts["outside"] <= 2
+
+
+POLISH_STARTS = {
+    **{name: dim4_family(name).tensor for name in ("g6", "g7", "sl2+C")},
+    **{f"random n={n}": random_tensor(n, seed=0) for n in range(5, 9)},
+}
+
+
+@pytest.mark.parametrize("name", list(POLISH_STARTS))
+def test_certifying_round_stops_at_first_certified_candidate(name, monkeypatch):
+    # is_critical of each certificate, one list per _newton_polish call
+    flow_module = sys.modules["skewflow.flow"]
+    polish = flow_module._newton_polish
+    polishes, active = [], []
+
+    def recording(mu, **kwargs):
+        rep = criticality(mu, **kwargs)
+        if active:
+            active[-1].append(rep.is_critical)
+        return rep
+
+    def wrapped(*args, **kwargs):
+        active.append([])
+        try:
+            return polish(*args, **kwargs)
+        finally:
+            polishes.append(active.pop())
+
+    monkeypatch.setattr(flow_module, "criticality", recording)
+    monkeypatch.setattr(flow_module, "_newton_polish", wrapped)
+    assert flow(POLISH_STARTS[name]).converged
+    assert any(True in checks for checks in polishes)
+    for checks in polishes:
+        assert True not in checks[:-1]
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_random_flow_certifies_its_start_and_one_candidate(n, monkeypatch):
+    # each of these polishes once, after 512 accepted steps, and a candidate
+    # of its first round certifies: the start and that candidate
+    flow_module = sys.modules["skewflow.flow"]
+    calls = []
+
+    def recording(mu, **kwargs):
+        calls.append(mu)
+        return criticality(mu, **kwargs)
+
+    monkeypatch.setattr(flow_module, "criticality", recording)
+    for seed in range(3):
+        calls.clear()
+        assert flow(random_tensor(n, seed=seed)).converged
+        assert len(calls) == 2
 
 
 # (len(samples), converged, stratum, F) of the default-parameter flow from
@@ -344,3 +399,5 @@ def test_pinned_flow_outcome(name, params):
         steps, converged, stratum,
     )
     assert trace.limit_report.F_value == pytest.approx(value, abs=1e-9)
+    # the certificate returned is the limit's own, not that of another point
+    assert trace.limit_report.residual == criticality(trace.limit).residual
