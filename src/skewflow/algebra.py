@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import svd
 
 __all__ = [
     "StructureTensor",
@@ -298,10 +297,13 @@ def _null_rows(m: np.ndarray, rcond: float) -> np.ndarray:
     Zero rows add nothing to m* m and are dropped.  Singular values at or
     below rcond * max(s) count as zero, the threshold of null_space.  A
     tall m gets the economy SVD; a wide one (n <= 2, or sparse) needs the
-    full right factor, whose extra rows are kernel vectors too.
+    full right factor, whose extra rows are kernel vectors too.  The SVD
+    runs on numpy's LAPACK, the one the rest of the package uses, because a
+    second BLAS library brings a second thread pool that contends with
+    numpy's on small machines.
     """
     m = m[np.any(m != 0, axis=1)]
-    _, s, vh = svd(m, full_matrices=m.shape[0] < m.shape[1])
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     rank = int(np.sum(s > np.amax(s, initial=0.0) * rcond))
     return vh[rank:].conj()
 

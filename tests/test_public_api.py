@@ -1,7 +1,14 @@
-"""The public API stays only as large as the program itself needs."""
+"""The public API and the runtime dependencies stay only as large as the
+program itself needs."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import skewflow
 
@@ -71,3 +78,50 @@ def test_waiting_exports_are_still_exported_and_unused():
     used = _used_names()
     assert set(WAITING) <= set(skewflow.__all__)
     assert sorted(set(WAITING) & used) == []  # a caller arrived: drop the entry
+
+
+def _third_party_imports():
+    """Top-level names of the absolute non-stdlib imports in the package."""
+    found = set()
+    for path in sorted((ROOT / "src" / "skewflow").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"skewflow"}
+
+
+def test_runtime_dependencies_are_what_the_package_imports():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+        for req in project["dependencies"]
+    }
+    assert _third_party_imports() == declared
+
+
+def test_running_the_package_loads_no_scipy():
+    # scipy ships its own OpenBLAS, whose thread pool contends with numpy's;
+    # the package must run on numpy's LAPACK alone
+    code = """
+import sys
+import skewflow, skewflow.cli, skewflow.verify
+from skewflow import criticality, derivation_algebra, flow, random_tensor, structure_invariants
+
+mu = random_tensor(4, 0)
+assert flow(mu).converged
+criticality(mu)
+basis = derivation_algebra(mu)
+basis.complex_basis, basis.hermitian_basis
+structure_invariants(mu)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = str(Path(skewflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
