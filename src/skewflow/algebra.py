@@ -12,6 +12,10 @@ product used throughout:
     <mu, lam> = sum_{ijk} c_mu[i,j,k] * conj(c_lam[i,j,k])
 
 over *ordered* index pairs, so each unordered pair (i, j) contributes twice.
+Two array kernels carry the infinitesimal GL(n) action: _delta_coeff for
+the coboundary delta_c(A) and _delta_star_coeff for its adjoint.  Every
+matrix of delta (_delta_matrix), the moment map and the flow's Hessian are
+built from them.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ __all__ = [
     "act",
     "inner_product",
     "delta",
-    "delta_star",
     "derivation_algebra",
     "structure_invariants",
     "direct_sum",
@@ -38,7 +41,8 @@ __all__ = [
     "commutator",
 ]
 
-DEFAULT_NULLSPACE_TOL = 1e-9
+NULLSPACE_TOL = 1e-9  # relative singular-value cut of the rank decisions in this module
+_COND_MAX = 1e12  # act refuses matrices worse conditioned than this
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -135,13 +139,13 @@ def jacobi_residual(mu: StructureTensor) -> float:
     return float(np.linalg.norm(jac))
 
 
-def act(g: np.ndarray, mu: StructureTensor, cond_max: float = 1e12) -> StructureTensor:
+def act(g: np.ndarray, mu: StructureTensor) -> StructureTensor:
     """Basis-change action (g.mu)(X, Y) = g mu(g^-1 X, g^-1 Y)."""
     g = np.asarray(g, dtype=complex)
     n = mu.dim
     if g.shape != (n, n):
         raise ValueError("matrix dimension must match tensor dimension")
-    if np.linalg.cond(g) > cond_max:
+    if np.linalg.cond(g) > _COND_MAX:
         raise np.linalg.LinAlgError("matrix is singular or too ill-conditioned to act")
     h = np.linalg.inv(g)
     new = np.einsum("pi,qj,kr,pqr->ijk", h, h, g, mu.coeff, optimize=True)
@@ -174,27 +178,32 @@ def _delta_coeff(c: np.ndarray, a: np.ndarray) -> np.ndarray:
     As c is antisymmetric, the middle term is -T1 with i and j swapped and
     T3 is antisymmetric, so delta = X - (X with i and j swapped) for
     X = T1 - T3 / 2, which is exactly antisymmetric.  A may carry leading
-    batch axes.
+    batch axes.  T3 is halved and subtracted in place and its buffer takes
+    the result, so a batch of n^2 matrices never holds more than two arrays
+    of the result's size.
     """
     n = c.shape[0]
     at = a.swapaxes(-1, -2)
     shape = (*a.shape[:-2], n, n, n)
-    x = (at @ c.reshape(n, n * n)).reshape(shape) - 0.5 * (
-        c.reshape(n * n, n) @ at
-    ).reshape(shape)
-    return x - x.swapaxes(-3, -2)
+    x = (at @ c.reshape(n, n * n)).reshape(shape)
+    t3 = (c.reshape(n * n, n) @ at).reshape(shape)
+    t3 *= 0.5
+    x -= t3
+    return np.subtract(x, x.swapaxes(-3, -2), out=t3)
 
 
-def delta_star(mu: StructureTensor, lam: StructureTensor) -> np.ndarray:
-    """Adjoint of A -> delta_mu(A): <lam, delta_mu(A)> = tr(delta_star(mu,lam) A*)."""
-    if mu.dim != lam.dim:
-        raise ValueError("dimension mismatch")
-    cbar = np.conj(mu.coeff)
-    l = lam.coeff
-    a1 = np.einsum("vjk,ujk->uv", l, cbar)
-    a2 = np.einsum("ivk,iuk->uv", l, cbar)
-    a3 = np.einsum("iju,ijv->uv", l, cbar)
-    return a1 + a2 - a3
+def _delta_star_coeff(c: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Array kernel of the adjoint of A -> delta_c(A), at lam.
+
+    <lam, delta_c(A)> = tr(D A*) for D = delta*_c(lam).  Of the three terms
+    of delta, the first two contribute equally as c and lam are
+    antisymmetric, so with C1, L1 the (n, n^2) and C3, L3 the (n^2, n)
+    reshapes of c and lam, D = 2 conj(C1) L1^T - L3^T conj(C3).
+    """
+    n = c.shape[0]
+    return 2.0 * (np.conj(c.reshape(n, n * n)) @ lam.reshape(n, n * n).T) - (
+        lam.reshape(n * n, n).T @ np.conj(c.reshape(n * n, n))
+    )
 
 
 @lru_cache(maxsize=32)
@@ -209,21 +218,15 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
-def _delta_operator(c: np.ndarray) -> np.ndarray:
-    """Matrix (n^2 (n-1)/2 * n, n^2) of A -> delta(A), rows (i < j, k).
+def _delta_matrix(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Matrix of A -> delta_c(A) on the rows (i < j, k), one column per basis matrix.
 
     delta(A) is antisymmetric in (i, j), so its i > j rows are the negatives
     of the i < j ones and its i = j rows vanish; dropping them scales every
     singular value by 1/sqrt(2) and leaves the kernel unchanged.
     """
-    n = c.shape[0]
-    eye = np.eye(n)
-    iu, ju = _upper_pairs(n)
-    # delta(E_uv)[i,j,k] = d(i,v) c[u,j,k] + d(j,v) c[i,u,k] - d(k,u) c[i,j,v]
-    m1 = np.einsum("pv,upk->pkuv", eye[iu], c[:, ju])
-    m2 = np.einsum("pv,puk->pkuv", eye[ju], c[iu])
-    m3 = np.einsum("ku,pv->pkuv", eye, c[iu, ju])
-    return (m1 + m2 - m3).reshape(len(iu) * n, n * n)
+    iu, ju = _upper_pairs(c.shape[0])
+    return _delta_coeff(c, basis)[:, iu, ju].reshape(len(basis), -1).T
 
 
 def _hermitian_coords(a: np.ndarray) -> np.ndarray:
@@ -260,35 +263,16 @@ def _hermitian_from_coords(x: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
-def _hermitian_system(op: np.ndarray, n: int) -> np.ndarray:
-    """Real matrix [Re; Im] of x -> op @ _hermitian_from_coords(x, n).ravel().
+def _hermitian_delta_matrix(c: np.ndarray) -> np.ndarray:
+    """Real matrix [Re; Im] of x -> delta_c(_hermitian_from_coords(x, n)).
 
-    Column k is the image of the k-th orthonormal hermitian basis matrix:
+    Its columns are the delta images of the orthonormal hermitian basis:
     E_ii, then (E_ij + E_ji) / sqrt(2) and i (E_ij - E_ji) / sqrt(2) for
-    i < j.  These are op[:, ii], (op[:, ij] + op[:, ji]) / sqrt(2) and
-    1j (op[:, ij] - op[:, ji]) / sqrt(2), filled row i of the pairs at a
-    time from views of op's real and imaginary parts, so no copy of op's
-    columns is made.
+    i < j, on the rows of _delta_matrix.
     """
-    m = len(op)
-    p = n * (n - 1) // 2
-    re, im = op.real.reshape(m, n, n), op.imag.reshape(m, n, n)
-    out = np.empty((2, m, n * n))
-    out[0, :, :n] = op.real[:, :: n + 1]
-    out[1, :, :n] = op.imag[:, :: n + 1]
-    sym, skew = out[..., n : n + p], out[..., n + p :]
-    start = 0
-    for i in range(n - 1):
-        cut = slice(start, start + n - 1 - i)
-        upper_re, lower_re = re[:, i, i + 1 :], re[:, i + 1 :, i]
-        upper_im, lower_im = im[:, i, i + 1 :], im[:, i + 1 :, i]
-        np.add(upper_re, lower_re, out=sym[0, :, cut])
-        np.add(upper_im, lower_im, out=sym[1, :, cut])
-        np.subtract(lower_im, upper_im, out=skew[0, :, cut])
-        np.subtract(upper_re, lower_re, out=skew[1, :, cut])
-        start += n - 1 - i
-    out[..., n:] *= np.sqrt(0.5)
-    return out.reshape(2 * m, n * n)
+    n = c.shape[0]
+    m = _delta_matrix(c, _hermitian_from_coords(np.eye(n * n), n))
+    return np.concatenate([m.real, m.imag])
 
 
 def _null_rows(m: np.ndarray, rcond: float) -> np.ndarray:
@@ -313,28 +297,29 @@ class DerivationBasis:
 
     complex_basis spans Der(mu) over C and hermitian_basis spans the real
     subspace of hermitian derivations, both orthonormal for the Frobenius
-    product.  The hermitian one is the kernel of _hermitian_system in the
+    product.  complex_basis is the kernel of _delta_matrix on the matrix
+    units, and hermitian_basis that of _hermitian_delta_matrix in the
     isometric coordinates of _hermitian_coords, so it is exactly hermitian.
-    Shapes: (dim, n, n).  Each basis is computed from the nonzero rows of
-    A -> delta_mu(A) on first access, then cached.
+    Shapes: (dim, n, n).  Each basis builds its system and solves it on
+    first access, then is cached.
     """
 
-    def __init__(self, mu: StructureTensor, tol: float = DEFAULT_NULLSPACE_TOL):
-        self._operator = _delta_operator(mu.coeff)
-        self._n = mu.dim
-        self._tol = tol
+    def __init__(self, mu: StructureTensor):
+        self._c = mu.coeff
 
     @cached_property
     def complex_basis(self) -> np.ndarray:
-        n = self._n
-        return _null_rows(self._operator, self._tol).reshape(-1, n, n)
+        n = self._c.shape[0]
+        units = np.eye(n * n).reshape(n * n, n, n)
+        rows = _null_rows(_delta_matrix(self._c, units), NULLSPACE_TOL)
+        return rows.reshape(-1, n, n)
 
     @cached_property
     def hermitian_basis(self) -> np.ndarray:
         # hermiticity is only R-linear: solve over R on n^2 real coordinates
-        n = self._n
         return _hermitian_from_coords(
-            _null_rows(_hermitian_system(self._operator, n), self._tol), n
+            _null_rows(_hermitian_delta_matrix(self._c), NULLSPACE_TOL),
+            self._c.shape[0],
         )
 
     @property
@@ -346,15 +331,13 @@ class DerivationBasis:
         return self.hermitian_basis.shape[0]
 
 
-def derivation_algebra(
-    mu: StructureTensor, tol: float = DEFAULT_NULLSPACE_TOL
-) -> DerivationBasis:
+def derivation_algebra(mu: StructureTensor) -> DerivationBasis:
     """Nullspace of A -> delta_mu(A), by singular-value thresholding.
 
     Gives Frobenius-orthonormal bases of the complex derivation algebra and,
     over R, of its hermitian part; each is computed when first read.
     """
-    return DerivationBasis(mu, tol)
+    return DerivationBasis(mu)
 
 
 def _subspace_span(vectors: np.ndarray, tol: float) -> np.ndarray:
@@ -379,9 +362,7 @@ class StructureInvariants:
     is_semisimple: bool | None
 
 
-def structure_invariants(
-    mu: StructureTensor, tol: float = DEFAULT_NULLSPACE_TOL
-) -> StructureInvariants:
+def structure_invariants(mu: StructureTensor) -> StructureInvariants:
     """Image/center dimensions and structure flags, without dim Der.
 
     For non-Lie input only dim mu(C^n, C^n) is computed; the series-based
@@ -390,7 +371,7 @@ def structure_invariants(
     n = mu.dim
     c = mu.coeff
     scale = max(mu.norm(), 1.0)
-    dim_image = _subspace_span(c.reshape(n * n, n), tol).shape[1]
+    dim_image = _subspace_span(c.reshape(n * n, n), NULLSPACE_TOL).shape[1]
 
     if jacobi_residual(mu) > 1e-8 * scale**2:
         return StructureInvariants(False, dim_image, None, None, None, None)
@@ -399,7 +380,7 @@ def structure_invariants(
     mker = c.transpose(1, 2, 0).reshape(n * n, n)
     if np.any(mker):
         svals = np.linalg.svd(mker, compute_uv=False)
-        rank = int(np.sum(svals > tol * svals[0]))
+        rank = int(np.sum(svals > NULLSPACE_TOL * svals[0]))
     else:
         rank = 0
     dim_center = n - rank
@@ -410,7 +391,7 @@ def structure_invariants(
         if basis.shape[1] == 0:
             break
         vecs = np.einsum("ipk,pj->ijk", c, basis).reshape(-1, n)
-        new = _subspace_span(vecs, tol)
+        new = _subspace_span(vecs, NULLSPACE_TOL)
         if new.shape[1] >= basis.shape[1]:
             basis = new
             break
@@ -423,7 +404,7 @@ def structure_invariants(
         if basis.shape[1] == 0:
             break
         vecs = np.einsum("ijk,ia,jb->abk", c, basis, basis).reshape(-1, n)
-        new = _subspace_span(vecs, tol)
+        new = _subspace_span(vecs, NULLSPACE_TOL)
         if new.shape[1] >= basis.shape[1]:
             basis = new
             break
@@ -490,7 +471,7 @@ def semidirect_extension(
 
     # Trace-orthonormal basis of r = span(gens).
     flat = np.array([g.ravel() for g in gens])
-    basis_cols = _subspace_span(flat, DEFAULT_NULLSPACE_TOL)
+    basis_cols = _subspace_span(flat, NULLSPACE_TOL)
     d = basis_cols.shape[1]
     onb = np.ascontiguousarray(basis_cols.T).reshape(d, m, m)
 

@@ -4,7 +4,7 @@ Explicit first-order steps with accept/reject control: a trial point is kept
 when the sphere-restricted energy tr(R^2) does not increase (up to a tiny
 absolute slack for floating-point rounding); the step size grows by 1.2 on
 acceptance and halves on rejection.  Each step costs one moment map and one
-coboundary, both reshape-and-matmul kernels.  Once the descent reaches the
+coboundary, _moment_coeff and _delta_coeff.  Once the descent reaches the
 rounding floor of the energy comparison — detected as a run of accepted
 steps with no measurable decrease — a Newton polish of the stationarity
 equation sharpens the limit, using the exact second derivative.  The polish
@@ -29,8 +29,7 @@ import numpy as np
 from .algebra import (
     StructureTensor,
     _delta_coeff,
-    _delta_operator,
-    _hermitian_system,
+    _hermitian_delta_matrix,
     _upper_pairs,
 )
 from .classify import CriticalType, TypeExtractionError, extract_type
@@ -139,10 +138,11 @@ def _hessian(s: _State) -> np.ndarray:
     hermitian A (R is a moment map) gives tr(dR[v] A) =
     -4 Re<delta_mu(A), v>, so the term is 32 L L^T with L the real matrix
     of A -> delta_mu(A) from the isometric coordinates of hermitian A to
-    polish coordinates: sqrt(2) times the _hermitian_system of the i < j
-    delta operator, as polish coordinates are sqrt(2) (Re, Im).  The tangent
-    projection P = I - x x^T (x the coordinates of mu) and the sphere
-    term -lambda P, lambda = Re<mu, g_amb>, are rank-one updates.
+    polish coordinates: sqrt(2) times _hermitian_delta_matrix, whose rows
+    are [Re; Im] of delta on the i < j pairs, as polish coordinates are
+    sqrt(2) (Re, Im).  The tangent projection P = I - x x^T (x the
+    coordinates of mu) and the sphere term -lambda P, lambda =
+    Re<mu, g_amb>, are rank-one updates.
     """
     mu, r = s.mu, s.r
     n = mu.shape[0]
@@ -154,7 +154,7 @@ def _hessian(s: _State) -> np.ndarray:
     k = np.kron(wedge, eye) - np.kron(np.eye(len(iu)), r)
     h = -8.0 * np.block([[k.real, -k.imag], [k.imag, k.real]])
 
-    lmat = np.sqrt(2.0) * _hermitian_system(_delta_operator(mu), n)
+    lmat = np.sqrt(2.0) * _hermitian_delta_matrix(mu)
     h += 32.0 * (lmat @ lmat.T)
 
     x = _to_coords(mu)
@@ -175,20 +175,19 @@ def _newton_polish(s: _State, f_cap: float, report_fn, report=None):
     closes that gap.  The Hessian is rank-deficient along the unitary-orbit
     directions, and on degenerate approaches the curvature of the slow
     directions itself decays toward zero, so each round tries truncated
-    pseudoinverses over a ladder of spectral cutoffs and then damped
-    (Levenberg-Marquardt) solves, skipping any that raise the energy above
-    f_cap.  The first candidate whose criticality certificate passes ends
-    the polish.  A round that certifies none moves to the candidate with
-    the smallest residual if that is below 0.9 times the current point's,
-    and ends the polish otherwise.  report is the current point's
-    certificate, or None when the caller has not computed it; report_fn(s)
-    then runs only where it is read, after a round that certifies nothing
-    or on return.  The linear algebra runs in the n^2 (n-1) polish
-    coordinates of _to_coords, sqrt(2) (Re, Im) of the entries [i, j, k]
-    with i < j; a solution goes back to a tensor by _from_coords, a scatter
-    into the [i, j] and [j, i] halves.  _hessian builds the matrix from the
-    structured pieces without any basis of tensors.  Returns the refined
-    state and report.
+    pseudoinverses over a ladder of spectral cutoffs, skipping any that
+    raise the energy above f_cap.  The first candidate whose criticality
+    certificate passes ends the polish.  A round that certifies none moves
+    to the candidate with the smallest residual if that is below 0.9 times
+    the current point's, and ends the polish otherwise.  report is the
+    current point's certificate, or None when the caller has not computed
+    it; report_fn(s) then runs only where it is read, after a round that
+    certifies nothing or on return.  The linear algebra runs in the
+    n^2 (n-1) polish coordinates of _to_coords, sqrt(2) (Re, Im) of the
+    entries [i, j, k] with i < j; a solution goes back to a tensor by
+    _from_coords, a scatter into the [i, j] and [j, i] halves.  _hessian
+    builds the matrix from the structured pieces without any basis of
+    tensors.  Returns the refined state and report.
     """
     n = s.mu.shape[0]
     for _ in range(_POLISH_ROUNDS):
@@ -198,16 +197,11 @@ def _newton_polish(s: _State, f_cap: float, report_fn, report=None):
         rhs = q.T @ _to_coords(-s.g_tan)
         big = float(np.max(np.abs(evals))) or 1.0
 
-        candidates = []
-        for rcond in (1e-4, 1e-5, 1e-6, 1e-8):
-            inv = np.where(np.abs(evals) > rcond * big, evals, np.inf)
-            candidates.append(q @ (rhs / inv))
-        for damp in (1e-8, 1e-6, 1e-4, 1e-2):
-            candidates.append(q @ (rhs / (np.abs(evals) + damp * big)))
-
         chosen = None
         tried = []
-        for sol in candidates:
+        for rcond in (1e-4, 1e-5, 1e-6, 1e-8):
+            inv = np.where(np.abs(evals) > rcond * big, evals, np.inf)
+            sol = q @ (rhs / inv)
             # cuts that keep the same eigenvalues give the same step, which
             # cannot win the strict comparison below
             if any(np.array_equal(sol, prev) for prev in tried):

@@ -2,10 +2,16 @@
 
 For a structure tensor mu the moment map is the hermitian matrix
 
-    R[r, p] = -4 sum_{ij} c[p,i,j] conj(c[r,i,j])
-              + 2 sum_{ij} conj(c[i,j,p]) c[i,j,r],
+    R = -2 herm(delta*_mu(mu)),
 
-the derivative at the identity of the basis-change energy g -> ||g.mu||^2.
+the derivative at the identity of the basis-change energy g -> ||g.mu||^2:
+it is dual to the infinitesimal action, tr(R A) = -2 Re<delta_mu(A), mu>,
+so it is the polarized moment map delta*_mu(lam) at lam = mu.  In the
+structure constants,
+
+    R[r, p] = -4 sum_{ij} c[p,i,j] conj(c[r,i,j])
+              + 2 sum_{ij} conj(c[i,j,p]) c[i,j,r].
+
 The functional minimized by the flow is the scale-invariant
 
     scalar_F(mu) = 4 tr(R^2) / (tr R)^2,
@@ -24,6 +30,7 @@ import numpy as np
 
 from .algebra import (
     StructureTensor,
+    _delta_star_coeff,
     _hermitian_coords,
     delta,
     derivation_algebra,
@@ -45,15 +52,8 @@ def moment_map(mu: StructureTensor) -> np.ndarray:
 
 
 def _moment_coeff(c: np.ndarray) -> np.ndarray:
-    """Array kernel of moment_map on a coefficient array c.
-
-    With C1 = c.reshape(n, n^2) and C3 = c.reshape(n^2, n) the two sums
-    are matrix products: R = herm(2 C3^T conj(C3) - 4 conj(C1) C1^T).
-    """
-    n = c.shape[0]
-    c1 = c.reshape(n, n * n)
-    c3 = c.reshape(n * n, n)
-    return hermitian_part(2.0 * (c3.T @ np.conj(c3)) - 4.0 * (np.conj(c1) @ c1.T))
+    """Array kernel of moment_map on a coefficient array c: -2 herm(delta*_c(c))."""
+    return -2.0 * hermitian_part(_delta_star_coeff(c, c))
 
 
 def scalar_F(mu: StructureTensor) -> float:
@@ -90,9 +90,7 @@ class CriticalReport:
         return np.linalg.eigvalsh(self.D_mu)
 
 
-def criticality(
-    mu: StructureTensor, tol: float = 1e-8, nullspace_tol: float = 1e-9
-) -> CriticalReport:
+def criticality(mu: StructureTensor, tol: float = 1e-8) -> CriticalReport:
     """Project R onto span_R{I} + hermitian derivations; report the remainder.
 
     The input is normalized internally, so residual and F_value refer to the
@@ -107,7 +105,7 @@ def criticality(
     c_mu = tr2 / tr
     d_mu = hermitian_part(r - c_mu * np.eye(nu.dim))
 
-    ders = derivation_algebra(nu, tol=nullspace_tol).hermitian_basis
+    ders = derivation_algebra(nu).hermitian_basis
     eye = np.eye(nu.dim, dtype=complex)[None]
     basis = _hermitian_coords(np.concatenate([eye, ders])).T
     target = _hermitian_coords(r)

@@ -36,7 +36,6 @@ __all__ = [
     "trace_csv",
     "trace_write",
     "type_to_dict",
-    "type_from_dict",
     "report_to_dict",
     "fraction_str",
 ]
@@ -189,12 +188,6 @@ def trace_write(path, trace) -> None:
 
 def type_to_dict(ctype: CriticalType) -> dict:
     return {"ks": list(ctype.ks), "ds": list(ctype.ds)}
-
-
-def type_from_dict(data: dict) -> CriticalType:
-    if set(data) != {"ks", "ds"}:
-        raise ValueError('type object must have exactly the keys "ks" and "ds"')
-    return CriticalType(tuple(data["ks"]), tuple(data["ds"]))
 
 
 def report_to_dict(report: CriticalReport, stratum: CriticalType | None = None) -> dict:

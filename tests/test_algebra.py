@@ -12,7 +12,6 @@ from skewflow import (
     commutator,
     criticality,
     delta,
-    delta_star,
     derivation_algebra,
     direct_sum,
     dim4_family,
@@ -134,40 +133,52 @@ def test_delta_of_identity_is_mu():
     assert np.allclose(delta(mu, np.eye(4)).coeff, mu.coeff)
 
 
-def test_delta_star_is_adjoint_of_delta():
-    # <lam, delta_mu(A)> = tr(delta_star(mu, lam) A*)
-    rng = np.random.default_rng(9)
-    mu = random_tensor(4, seed=6)
-    lam = random_tensor(4, seed=7)
-    a = _rand_matrix(rng, 4)
+def _random_coeff(rng, n):
+    """A seeded antisymmetric coefficient array, any n >= 1 (zero at n = 1)."""
+    return StructureTensor(
+        rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    ).coeff
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_delta_star_is_adjoint_of_delta(n, seed):
+    # <lam, delta_mu(A)> = tr(delta*_mu(lam) A*)
+    rng = np.random.default_rng(seed)
+    mu, lam = (StructureTensor(_random_coeff(rng, n)) for _ in range(2))
+    a = _rand_matrix(rng, n)
     lhs = inner_product(lam, delta(mu, a))
-    rhs = np.trace(delta_star(mu, lam) @ a.conj().T)
-    assert lhs == pytest.approx(rhs, rel=1e-10)
+    rhs = np.trace(algebra._delta_star_coeff(mu.coeff, lam.coeff) @ a.conj().T)
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def _matrix_units(n):
+    return np.eye(n * n).reshape(n * n, n, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_delta_operator_is_delta_on_upper_pairs(n):
     rng = np.random.default_rng(n)
-    mu = random_tensor(n, seed=30 + n)
+    c = _random_coeff(rng, n)
     a = _rand_matrix(rng, n)
     iu, ju = np.triu_indices(n, k=1)
-    m = algebra._delta_operator(mu.coeff)
+    m = algebra._delta_matrix(c, _matrix_units(n))
     assert m.shape == (n * n * (n - 1) // 2, n * n)
-    expected = delta(mu, a).coeff[iu, ju].ravel()
+    expected = _delta_reference(c, a)[iu, ju].ravel()
     assert np.allclose(m @ a.ravel(), expected, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_hermitian_system_is_delta_on_the_orthonormal_basis(n):
     mu = random_tensor(n, seed=60 + n) if n > 1 else StructureTensor.zero(1)
-    m = algebra._delta_operator(mu.coeff)
-    got = algebra._hermitian_system(m, n)
-    assert got.shape == (2 * m.shape[0], n * n) and np.isrealobj(got)
+    got = algebra._hermitian_delta_matrix(mu.coeff)
+    rows = n * n * (n - 1) // 2
+    assert got.shape == (2 * rows, n * n) and np.isrealobj(got)
     iu, ju = np.triu_indices(n, k=1)
     for k, e in enumerate(np.eye(n * n)):
         h = algebra._hermitian_from_coords(e, n)
         expected = delta(mu, h).coeff[iu, ju].ravel()
-        column = got[: m.shape[0], k] + 1j * got[m.shape[0] :, k]
+        column = got[:rows, k] + 1j * got[rows:, k]
         assert np.allclose(column, expected, rtol=0, atol=1e-13)
 
 
@@ -216,6 +227,27 @@ def test_delta_kernel_matches_einsum_reference(n, batch, seed):
     assert got.shape == (*batch, n, n, n)
     assert np.allclose(got, _delta_reference(c, a), rtol=0, atol=1e-13)
     assert np.array_equal(got, -np.swapaxes(got, -3, -2))  # antisymmetric exactly
+
+
+def _delta_star_reference(c, lam):
+    """delta*_c(lam) term by term: the adjoints of the three terms of delta."""
+    cbar = np.conj(c)
+    a1 = np.einsum("vjk,ujk->uv", lam, cbar)
+    a2 = np.einsum("ivk,iuk->uv", lam, cbar)
+    a3 = np.einsum("iju,ijv->uv", lam, cbar)
+    return a1 + a2 - a3
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_delta_star_kernel_matches_einsum_reference(n, seed):
+    rng = np.random.default_rng(seed)
+    c, lam = (_random_coeff(rng, n) for _ in range(2))
+    if n > 1:
+        c, lam = c / np.linalg.norm(c), lam / np.linalg.norm(lam)
+    got = algebra._delta_star_coeff(c, lam)
+    assert got.shape == (n, n)
+    assert np.allclose(got, _delta_star_reference(c, lam), rtol=0, atol=1e-13)
 
 
 class TestDerivations:
@@ -291,6 +323,14 @@ NULLITY_INPUTS = [
 NULLITY_IDS = ["partition-n13", "partition-n8", "random-n8", "random-n2"]
 
 
+def _delta_systems(mu):
+    """The complex and the hermitian real system whose kernels are Der(mu)."""
+    return (
+        algebra._delta_matrix(mu.coeff, _matrix_units(mu.dim)),
+        algebra._hermitian_delta_matrix(mu.coeff),
+    )
+
+
 class TestDerivationDims:
     def test_tables_cover_every_input(self):
         assert set(ENTRY_DIMS) == {e.name for e in all_entries()}
@@ -315,21 +355,19 @@ class TestDerivationDims:
 
     @pytest.mark.parametrize("mu", NULLITY_INPUTS, ids=NULLITY_IDS)
     def test_nullity_matches_null_space(self, mu):
-        m = algebra._delta_operator(mu.coeff)
-        nullity = algebra._null_rows(m, algebra.DEFAULT_NULLSPACE_TOL).shape[0]
-        assert nullity == null_space(m, rcond=1e-9).shape[1]
+        for system in _delta_systems(mu):
+            nullity = algebra._null_rows(system, algebra.NULLSPACE_TOL).shape[0]
+            assert nullity == null_space(system, rcond=1e-9).shape[1]
 
     @pytest.mark.parametrize("mu", NULLITY_INPUTS, ids=NULLITY_IDS)
     def test_zero_rows_change_no_kernel(self, mu):
-        n = mu.dim
-        m = algebra._delta_operator(mu.coeff)
-        for system in (m, algebra._hermitian_system(m, n)):
+        for system in _delta_systems(mu):
             ref = null_space(system, rcond=1e-9)
             ref_proj = ref @ ref.conj().T
             zeros = np.zeros_like(system)
             interleaved = np.stack([system, zeros], axis=1).reshape(-1, system.shape[1])
             for padded in (system, np.concatenate([system, zeros]), interleaved):
-                rows = algebra._null_rows(padded, algebra.DEFAULT_NULLSPACE_TOL)
+                rows = algebra._null_rows(padded, algebra.NULLSPACE_TOL)
                 assert rows.shape[0] == ref.shape[1]
                 assert np.abs(rows.T @ rows.conj() - ref_proj).max() <= 1e-12
 

@@ -1,5 +1,5 @@
-"""The public API and the runtime dependencies stay only as large as the
-program itself needs."""
+"""The package's definitions, public or private, and its runtime
+dependencies stay only as large as the program itself needs."""
 
 import ast
 import os
@@ -18,7 +18,6 @@ USERS = ("src", "demos", "perfbench")
 # Exported names with no caller yet, each waiting for the ROADMAP item that
 # gives it one (or deletes it).
 WAITING = {
-    "delta_star": "item 1: the orbit Newton polish solves S = herm(delta*(...))",
     "h_alpha": "item 2: kernel of the retraction to the orbit closure",
     "v_alpha_membership": "item 2: kernel of the retraction to the orbit closure",
 }
@@ -68,10 +67,33 @@ def _used_names():
     return used
 
 
+def _definitions():
+    """(module, name) of each module-level function, class and constant of the package."""
+    found = []
+    for path in sorted((ROOT / "src" / "skewflow").glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    name.id for target in targets for name in ast.walk(target)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                ]
+            else:
+                continue
+            found += [(path.stem, name) for name in names if name != "__all__"]
+    return found
+
+
 def test_every_export_has_a_caller_outside_tests():
+    # every module-level definition, private ones included, not only __all__
     used = _used_names()
-    unused = [name for name in skewflow.__all__ if name not in used and name not in WAITING]
-    assert unused == [], f"exported but used only by tests: {unused}"
+    unused = [
+        f"{module}.{name}" for module, name in _definitions()
+        if name not in used and name not in WAITING
+    ]
+    assert unused == [], f"defined but used only by tests: {unused}"
 
 
 def test_waiting_exports_are_still_exported_and_unused():
