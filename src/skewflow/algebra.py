@@ -15,7 +15,7 @@ over *ordered* index pairs, so each unordered pair (i, j) contributes twice.
 Two array kernels carry the infinitesimal GL(n) action: _delta_coeff for
 the coboundary delta_c(A) and _delta_star_coeff for its adjoint.  Every
 matrix of delta (_delta_matrix), the moment map and the flow's Hessian are
-built from them.
+built from them.  _act_coeff carries the group action itself.
 """
 
 from __future__ import annotations
@@ -147,9 +147,23 @@ def act(g: np.ndarray, mu: StructureTensor) -> StructureTensor:
         raise ValueError("matrix dimension must match tensor dimension")
     if np.linalg.cond(g) > _COND_MAX:
         raise np.linalg.LinAlgError("matrix is singular or too ill-conditioned to act")
-    h = np.linalg.inv(g)
-    new = np.einsum("pi,qj,kr,pqr->ijk", h, h, g, mu.coeff, optimize=True)
-    return StructureTensor(new)
+    return StructureTensor(_act_coeff(g, np.linalg.inv(g), mu.coeff))
+
+
+def _act_coeff(g: np.ndarray, g_inv: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Array kernel of act: g.c for g_inv = h = g^-1, that is
+
+        (g.c)[i, j, k] = sum h[p, i] h[q, j] g[k, r] c[p, q, r].
+
+    One matmul per slot: h^T on the rows of c.reshape(n, n^2), h^T on the
+    rows of each (n, n) slice [i] of that, and g on the columns of the
+    (n^2, n) reshape.
+    """
+    n = c.shape[0]
+    ht = g_inv.T
+    x = (ht @ c.reshape(n, n * n)).reshape(n, n, n)
+    x = ht @ x
+    return (x.reshape(n * n, n) @ g.T).reshape(n, n, n)
 
 
 def inner_product(mu: StructureTensor, lam: StructureTensor) -> complex:
@@ -201,8 +215,9 @@ def _delta_star_coeff(c: np.ndarray, lam: np.ndarray) -> np.ndarray:
     reshapes of c and lam, D = 2 conj(C1) L1^T - L3^T conj(C3).
     """
     n = c.shape[0]
-    return 2.0 * (np.conj(c.reshape(n, n * n)) @ lam.reshape(n, n * n).T) - (
-        lam.reshape(n * n, n).T @ np.conj(c.reshape(n * n, n))
+    cc = np.conj(c)
+    return 2.0 * (cc.reshape(n, n * n) @ lam.reshape(n, n * n).T) - (
+        lam.reshape(n * n, n).T @ cc.reshape(n * n, n)
     )
 
 

@@ -3,8 +3,9 @@
 Explicit first-order steps with accept/reject control: a trial point is kept
 when the sphere-restricted energy tr(R^2) does not increase (up to a tiny
 absolute slack for floating-point rounding); the step size grows by 1.2 on
-acceptance and halves on rejection.  Each step costs one moment map and one
-coboundary, _moment_coeff and _delta_coeff.  Once the descent reaches the
+acceptance and halves on rejection.  A trial costs one moment map
+(_moment_coeff), which gives the energy; only a kept point adds one
+coboundary (_delta_coeff) for its gradient.  Once the descent reaches the
 rounding floor of the energy comparison — detected as a run of accepted
 steps with no measurable decrease — a Newton polish of the stationarity
 equation sharpens the limit, using the exact second derivative.  The polish
@@ -93,10 +94,15 @@ class _State(NamedTuple):
     gnorm: float
 
 
-def _state(mu: np.ndarray) -> _State:
+def _energy(mu: np.ndarray) -> tuple[np.ndarray, float]:
+    """Moment map R of unit mu and tr(R^2) = ||R||_F^2, as R is hermitian."""
     r = _moment_coeff(mu)
-    f = float(np.trace(r @ r).real)
-    g_amb = -8.0 * _delta_coeff(mu, r)
+    return r, float(np.vdot(r, r).real)
+
+
+def _state(mu: np.ndarray, r: np.ndarray, f: float) -> _State:
+    """The gradient at a point whose _energy is (r, f)."""
+    g_amb = _delta_coeff(mu, -8.0 * r)  # -8 is a power of two: exact
     g_tan = g_amb - np.vdot(mu, g_amb).real * mu
     return _State(mu, f, r, g_amb, g_tan, float(np.linalg.norm(g_tan)))
 
@@ -213,9 +219,11 @@ def _newton_polish(s: _State, f_cap: float, report_fn, report=None):
                 continue
             if norm > 0.1:  # trust region: the polish is a local correction
                 step = step * (0.1 / norm)
-            t = _state(_normalized(s.mu + step))
-            if t.f > f_cap:
+            mu_t = _normalized(s.mu + step)
+            r_t, f_t = _energy(mu_t)
+            if f_t > f_cap:
                 continue
+            t = _state(mu_t, r_t, f_t)
             rep_t = report_fn(t)
             if rep_t.is_critical:
                 return t, rep_t
@@ -251,7 +259,8 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
     if mu0.is_zero():
         raise ValueError("cannot flow the zero tensor")
 
-    s = _state(_normalized(mu0.coeff))
+    mu = _normalized(mu0.coeff)
+    s = _state(mu, *_energy(mu))
     samples = [(0, s.f, s.gnorm)]
 
     def _report(state: _State) -> CriticalReport:
@@ -266,9 +275,10 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
     if not report.is_critical:
         while step < params.max_steps and s.gnorm > params.grad_tol:
             step += 1
-            t = _state(_normalized(s.mu - h * s.g_tan))
-            if t.f <= s.f + _F_SLACK:
-                s = t
+            mu_t = _normalized(s.mu - h * s.g_tan)
+            r_t, f_t = _energy(mu_t)
+            if f_t <= s.f + _F_SLACK:
+                s = _state(mu_t, r_t, f_t)
                 samples.append((step, s.f, s.gnorm))
                 h *= _GROWTH
                 accepted += 1

@@ -53,7 +53,8 @@ def moment_map(mu: StructureTensor) -> np.ndarray:
 
 def _moment_coeff(c: np.ndarray) -> np.ndarray:
     """Array kernel of moment_map on a coefficient array c: -2 herm(delta*_c(c))."""
-    return -2.0 * hermitian_part(_delta_star_coeff(c, c))
+    d = _delta_star_coeff(c, c)
+    return -(d + d.conj().T)
 
 
 def scalar_F(mu: StructureTensor) -> float:
@@ -62,7 +63,7 @@ def scalar_F(mu: StructureTensor) -> float:
         raise ValueError("scalar_F is undefined at the zero tensor")
     r = moment_map(mu)
     tr = float(np.trace(r).real)
-    tr2 = float(np.trace(r @ r).real)
+    tr2 = float(np.vdot(r, r).real)  # tr(R^2) = ||R||_F^2, as R is hermitian
     return 4.0 * tr2 / tr**2
 
 
@@ -101,7 +102,7 @@ def criticality(mu: StructureTensor, tol: float = 1e-8) -> CriticalReport:
     nu = mu.normalized()
     r = moment_map(nu)
     tr = float(np.trace(r).real)
-    tr2 = float(np.trace(r @ r).real)
+    tr2 = float(np.vdot(r, r).real)
     c_mu = tr2 / tr
     d_mu = hermitian_part(r - c_mu * np.eye(nu.dim))
 

@@ -250,6 +250,26 @@ def test_delta_star_kernel_matches_einsum_reference(n, seed):
     assert np.allclose(got, _delta_star_reference(c, lam), rtol=0, atol=1e-13)
 
 
+def _act_reference(g, c):
+    """(g.c)[i, j, k] = sum h[p, i] h[q, j] g[k, r] c[p, q, r], h = g^-1, in one einsum."""
+    h = np.linalg.inv(g)
+    return np.einsum("pi,qj,kr,pqr->ijk", h, h, g, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_act_kernel_matches_einsum_reference(n, seed):
+    # g = U diag(s) V with U, V unitary and s in [1/2, 2]: cond(g) <= 4
+    rng = np.random.default_rng(seed)
+    c = _random_coeff(rng, n)
+    if n > 1:
+        c = c / np.linalg.norm(c)
+    u, _, v = np.linalg.svd(_rand_matrix(rng, n))
+    g = (u * np.exp(rng.uniform(-np.log(2.0), np.log(2.0), n))) @ v
+    got = act(g, StructureTensor(c)).coeff
+    assert np.allclose(got, _act_reference(g, c), rtol=0, atol=1e-13)
+
+
 class TestDerivations:
     def test_sl2_inner_derivations(self):
         ders = derivation_algebra(sl2_compact().tensor)

@@ -22,7 +22,7 @@ from skewflow import (
     random_tensor,
     resolve,
 )
-from skewflow.flow import _from_coords, _hessian, _state, _to_coords
+from skewflow.flow import _energy, _from_coords, _hessian, _state, _to_coords
 from skewflow.moment import _moment_coeff
 
 FAST = FlowParams(max_steps=50_000)
@@ -205,7 +205,7 @@ def test_polish_hessian_matches_second_difference(n):
     # cos(t) mu + sin(t) v through mu in the unit tangent direction v
     rng = np.random.default_rng(40 + n)
     mu = random_tensor(n, seed=40 + n).normalized().coeff
-    hess = _hessian(_state(mu))
+    hess = _hessian(_state(mu, *_energy(mu)))
 
     def energy(t, v):
         r = _moment_coeff(np.cos(t) * mu + np.sin(t) * v)
@@ -226,7 +226,7 @@ def test_polish_hessian_vanishes_in_dimension_two():
     # constant on the sphere and a second difference is only rounding
     for seed in range(3):
         mu = random_tensor(2, seed=seed).normalized().coeff
-        assert np.abs(_hessian(_state(mu))).max() <= 1e-13
+        assert np.abs(_hessian(_state(mu, *_energy(mu)))).max() <= 1e-13
 
 
 # g6 and g7 end on a mid-descent polish, n4 is critical at the start, and
@@ -236,16 +236,18 @@ CERTIFY_STARTS = {"g6": (), "g7": (), "n4": (), "g5": (), "g2": (1 / 27, 1 / 3)}
 
 @pytest.mark.parametrize("name", ["g7", "g2"])
 def test_iterates_and_limit_stay_exactly_antisymmetric(name, monkeypatch):
-    # g7 ends on a mid-descent polish, g2(1/27, 1/3) on the end polish
+    # every point whose energy the flow evaluates: the start, each descent
+    # trial, rejected ones included, and each polish candidate; g7 ends on a
+    # mid-descent polish, g2(1/27, 1/3) on the end polish
     flow_module = sys.modules["skewflow.flow"]
-    state = flow_module._state
+    energy = flow_module._energy
     seen = []
 
     def recording(mu):
         seen.append(mu)
-        return state(mu)
+        return energy(mu)
 
-    monkeypatch.setattr(flow_module, "_state", recording)
+    monkeypatch.setattr(flow_module, "_energy", recording)
     trace = flow(dim4_family(name, CERTIFY_STARTS[name]).tensor, FAST)
     assert trace.converged and len(seen) >= len(trace.samples)
     for mu in seen:
@@ -331,6 +333,44 @@ def test_certifying_round_stops_at_first_certified_candidate(name, monkeypatch):
     assert any(True in checks for checks in polishes)
     for checks in polishes:
         assert True not in checks[:-1]
+
+
+@pytest.mark.parametrize("name", list(POLISH_STARTS))
+def test_gradient_only_at_kept_points(name, monkeypatch):
+    # outside the polish the flow builds the gradient at its start and at
+    # each accepted trial, which are exactly its samples; a rejected trial
+    # costs one moment map and no coboundary
+    flow_module = sys.modules["skewflow.flow"]
+    delta_coeff, energy, polish = (
+        flow_module._delta_coeff, flow_module._energy, flow_module._newton_polish
+    )
+    counts = {"gradients": 0, "trials": 0}
+    in_polish = []
+
+    def counting_delta(*args):
+        if not in_polish:
+            counts["gradients"] += 1
+        return delta_coeff(*args)
+
+    def counting_energy(mu):
+        if not in_polish:
+            counts["trials"] += 1
+        return energy(mu)
+
+    def wrapped(*args, **kwargs):
+        in_polish.append(True)
+        try:
+            return polish(*args, **kwargs)
+        finally:
+            in_polish.pop()
+
+    monkeypatch.setattr(flow_module, "_delta_coeff", counting_delta)
+    monkeypatch.setattr(flow_module, "_energy", counting_energy)
+    monkeypatch.setattr(flow_module, "_newton_polish", wrapped)
+    trace = flow(POLISH_STARTS[name])
+    assert trace.converged
+    assert counts["gradients"] == len(trace.samples)
+    assert counts["trials"] > len(trace.samples)  # so some trials were rejected
 
 
 @pytest.mark.parametrize("n", range(5, 9))

@@ -53,6 +53,20 @@ def test_moment_kernel_matches_einsum_reference(n, seed):
 
 
 @settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_squared_frobenius_norm_is_trace_of_square(n, seed):
+    # scalar_F, criticality and the flow take tr(R^2) as ||R||_F^2
+    mu = _unit_tensor(np.random.default_rng(seed), n)
+    r = moment_map(mu)
+    tr2 = np.trace(r @ r).real
+    approx = pytest.approx(tr2, rel=1e-13, abs=1e-14 if n == 1 else 0.0)
+    assert np.vdot(r, r).real == approx
+    if n > 1:  # the zero tensor has no F
+        assert scalar_F(mu) == approx
+        assert criticality(mu).F_value == approx
+
+
+@settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
 def test_moment_map_is_dual_to_delta(n, seed):
     # tr(R A) = -2 Re<delta_mu(A), mu> for hermitian A: the identity behind
