@@ -22,7 +22,6 @@ not a point.
 from skewflow import (
     EXCLUDED_ORBITS,
     FlowParams,
-    criticality,
     dim4_family,
     flow,
     g2_curve_params,
@@ -39,7 +38,7 @@ for orbit in EXCLUDED_ORBITS:
     trace = flow(entry.tensor, params)
     assert trace.converged
     assert trace.stratum == orbit.limit_type
-    f_limit = trace.samples[-1][1]
+    f_limit = trace.limit_report.F_value
     assert abs(f_limit - float(orbit.limit_F)) < 1e-6
     p = ",".join(f"{x.real:g}" for x in orbit.params)
     start = f"{orbit.name}({p})" if p else orbit.name
@@ -53,7 +52,7 @@ print("\ngeneric members of the same families")
 for name, p in (("g8", (2.0,)), ("g3", (2.0,)), ("g2", (2.0, 1.0))):
     trace = flow(dim4_family(name, p).tensor, params)
     print(f"{name}{p}: {trace.samples[-1][0]} steps, "
-          f"F = {trace.samples[-1][1]:.8f}, type {trace.stratum}")
+          f"F = {trace.limit_report.F_value:.8f}, type {trace.stratum}")
 
 # the g2 crossing is a whole curve: gamma -> (gamma/(gamma+2)^3,
 # (2 gamma+1)/(gamma+2)^2).  every point of it flows to the g1 stratum.
@@ -63,7 +62,7 @@ for gamma in (0.5, 1.0, 3.0, -0.75):
     trace = flow(dim4_family("g2", (a, b)).tensor, params)
     assert trace.converged
     print(f"gamma = {gamma:>5}: params = ({a.real:.6g}, {b.real:.6g}), "
-          f"F -> {trace.samples[-1][1]:.8f}, type {trace.stratum}")
+          f"F -> {trace.limit_report.F_value:.8f}, type {trace.stratum}")
 
 # g8 at the degenerate parameter 1/4: same limit value as generic g8, but
 # the approach is along a quartic valley, so the certificate stalls around
@@ -71,6 +70,6 @@ for gamma in (0.5, 1.0, 3.0, -0.75):
 print("\ng8 near the degenerate parameter")
 for alpha in (2.0, 0.5, 0.3, 0.25):
     trace = flow(dim4_family("g8", (alpha,)).tensor, params)
-    rep = criticality(trace.limit)
+    rep = trace.limit_report
     print(f"alpha = {alpha:>4}: {trace.samples[-1][0]:>5} steps, "
-          f"residual {rep.residual:.2e}, F = {trace.samples[-1][1]:.10f}")
+          f"residual {rep.residual:.2e}, F = {rep.F_value:.10f}")

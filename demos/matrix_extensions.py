@@ -48,7 +48,7 @@ for label, a in (("normal", normal), ("non-normal", non_normal)):
 
 trace = flow(mu_A(non_normal).tensor)
 print(f"   ... after flowing the non-normal one: {trace.samples[-1][0]} steps, "
-      f"type {trace.stratum}, F = {trace.samples[-1][1]:.6f}")
+      f"type {trace.stratum}, F = {trace.limit_report.F_value:.6f}")
 
 # --- 2. nilpotent partitions ------------------------------------------------
 print("\n2. Jordan partitions up to size 4 (block sizes are part+1)")

@@ -38,7 +38,7 @@ for name in DIM4_FAMILY_NAMES:
         continue
     trace = flow(entry.tensor, params)
     assert trace.converged, f"{name} did not certify"
-    f_limit = trace.samples[-1][1]
+    f_limit = trace.limit_report.F_value
     exact = critical_value(trace.stratum)
     p = ",".join(f"{x.real:g}" for x in entry.params)
     print(f"{name:<8} {p:<12} {trace.samples[-1][0]:>6} {f_limit:>12.8f} "

@@ -5,19 +5,24 @@ when the sphere-restricted energy tr(R^2) does not increase (up to a tiny
 absolute slack for floating-point rounding); the step size grows by 1.2 on
 acceptance and halves on rejection.  A trial costs one moment map
 (_moment_coeff), which gives the energy; only a kept point adds one
-coboundary (_delta_coeff) for its gradient.  Once the descent reaches the
-rounding floor of the energy comparison — detected as a run of accepted
-steps with no measurable decrease — a Newton polish of the stationarity
-equation sharpens the limit, using the exact second derivative.  The polish
-works in the real coordinates of the i < j half of the antisymmetric
-tensors, n^2 (n-1) unknowns (448 at n = 8), not in all 2 n^3 real
-coordinates of an (n, n, n) array.  Its Hessian is assembled from two
-structured pieces, the action of R on the tensor slots and 32 L L^T with L
-the real matrix of A -> delta_mu(A) on hermitian A, which holds because the
-moment map is dual to the infinitesimal action.  Convergence is decided by
-the criticality residual of the final point, which is what certifies
-membership in a critical set; converged limits are labeled by their
-extracted type.
+coboundary (_delta_coeff) for its gradient.  Near a critical point a
+Newton polish of the stationarity equation, using the exact second
+derivative, converges quadratically where the descent converges linearly,
+so the descent hands over as soon as the tangential gradient is below
+_NEWTON_GATE (1e-5).  A polish that certifies nothing lowers that gate
+100-fold and restarts the step size.  A trajectory whose gradient stalls
+above the gate still gets a polish after 512 * 4^k accepted steps, once
+its gradient is below _POLISH_GATE (1e-2).  The descent gives up when the
+energy reaches the rounding floor of its comparison, a run of accepted
+steps with no measurable decrease.  The polish works in the real
+coordinates of the i < j half of the antisymmetric tensors, n^2 (n-1)
+unknowns (448 at n = 8), not in all 2 n^3 real coordinates of an (n, n, n)
+array.  Its Hessian is assembled from two structured pieces, the action of
+R on the tensor slots and 32 L L^T with L the real matrix of
+A -> delta_mu(A) on hermitian A, which holds because the moment map is dual
+to the infinitesimal action.  Convergence is decided by the criticality
+residual of the final point, which is what certifies membership in a
+critical set; converged limits are labeled by their extracted type.
 """
 
 from __future__ import annotations
@@ -49,9 +54,10 @@ _F_SLACK = 1e-13  # absolute; accepted-step monotonicity still holds at 1e-12
 _MIN_STEP = 1e-16
 _INITIAL_STEP = 1e-3  # step size at the start and after a failed polish
 _PLATEAU_WINDOW = 1024  # accepted steps per energy-progress window
-_POLISH_GATE = 1e-2  # only polish when the tangential gradient is this small
+_NEWTON_GATE = 1e-5  # polish once the tangential gradient is this small
+_POLISH_GATE = 1e-2  # count-triggered polishes need a gradient this small
 _POLISH_ROUNDS = 40
-_FIRST_POLISH = 512  # accepted-step count for the first mid-descent polish try
+_FIRST_POLISH = 512  # accepted-step count for the first count-triggered polish
 
 
 @dataclass(frozen=True)
@@ -251,8 +257,9 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
     entry point only when a round certifies nothing, and once at the end,
     where a point that is not yet certified gets a last polish.  converged
     reflects that final residual test only.  So a loosened crit_tol does not
-    cut the descent short: the flow still runs to its first polish (after
-    512 accepted steps) or to one of the other stops.
+    cut the descent short: the flow still runs to its first polish (once
+    the tangential gradient is below _NEWTON_GATE, or after 512 accepted
+    steps with it below _POLISH_GATE) or to one of the other stops.
     """
     if params is None:
         params = FlowParams()
@@ -271,6 +278,7 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
     accepted = 0
     step = 0
     next_polish = _FIRST_POLISH
+    newton_gate = _NEWTON_GATE
     window_f, window_n = s.f, 0
     if not report.is_critical:
         while step < params.max_steps and s.gnorm > params.grad_tol:
@@ -283,12 +291,18 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
                 h *= _GROWTH
                 accepted += 1
                 window_n += 1
-                # slowly converging trajectories: try an early polish
-                if accepted >= next_polish and s.gnorm < _POLISH_GATE:
-                    next_polish *= 4
+                # polish once Newton can finish the descent; slowly
+                # converging trajectories also try one every 4^k * 512 steps
+                counted = accepted >= next_polish and s.gnorm < _POLISH_GATE
+                if counted or s.gnorm < newton_gate:
+                    if counted:
+                        next_polish *= 4
                     s, report = _newton_polish(s, s.f + _F_SLACK, _report)
                     if report.is_critical:
                         break
+                    newton_gate *= 1e-2
+                    # near the energy's rounding floor the accept test cannot
+                    # see a step that overshoots, so h would only grow
                     h = _INITIAL_STEP
                     window_f, window_n = s.f, 0
                 if window_n >= _PLATEAU_WINDOW:

@@ -83,7 +83,7 @@ def test_limit_value_matches_stratum():
         trace = flow(dim4_family(name, params).tensor, FAST)
         assert trace.converged and trace.stratum is not None
         exact = float(critical_value(trace.stratum))
-        assert trace.samples[-1][1] == pytest.approx(exact, abs=1e-6)
+        assert trace.limit_report.F_value == pytest.approx(exact, abs=1e-6)
 
 
 def test_derivation_dimension_never_drops():
@@ -229,16 +229,31 @@ def test_polish_hessian_vanishes_in_dimension_two():
         assert np.abs(_hessian(_state(mu, *_energy(mu)))).max() <= 1e-13
 
 
-# g6 and g7 end on a mid-descent polish, n4 is critical at the start, and
-# g5 and g2(1/27, 1/3) end through the post-loop check and the end polish
-CERTIFY_STARTS = {"g6": (), "g7": (), "n4": (), "g5": (), "g2": (1 / 27, 1 / 3)}
+# (family, parameters, flow parameters): g6, g7, g5 and g2(1/27, 1/3) end on
+# the polish their small gradient triggers mid-descent, n4 is critical at the
+# start, and with grad_tol = 1e-4 the descent of g7 stops above _NEWTON_GATE,
+# so it ends through the post-loop check and the end polish
+CERTIFY_STARTS = {
+    "g6": ("g6", (), FAST),
+    "g7": ("g7", (), FAST),
+    "n4": ("n4", (), FAST),
+    "g5": ("g5", (), FAST),
+    "g2": ("g2", (1 / 27, 1 / 3), FAST),
+    "g7 end polish": ("g7", (), FlowParams(max_steps=50_000, grad_tol=1e-4)),
+}
 
 
-@pytest.mark.parametrize("name", ["g7", "g2"])
+def _certify_flow(key):
+    name, params, flow_params = CERTIFY_STARTS[key]
+    return flow(dim4_family(name, params).tensor, flow_params)
+
+
+@pytest.mark.parametrize("name", ["g7", "g2", "g7 end polish"])
 def test_iterates_and_limit_stay_exactly_antisymmetric(name, monkeypatch):
     # every point whose energy the flow evaluates: the start, each descent
-    # trial, rejected ones included, and each polish candidate; g7 ends on a
-    # mid-descent polish, g2(1/27, 1/3) on the end polish
+    # trial, rejected ones included, and each polish candidate; g7 and
+    # g2(1/27, 1/3) end on a mid-descent polish, "g7 end polish" on the end
+    # polish
     flow_module = sys.modules["skewflow.flow"]
     energy = flow_module._energy
     seen = []
@@ -248,7 +263,7 @@ def test_iterates_and_limit_stay_exactly_antisymmetric(name, monkeypatch):
         return energy(mu)
 
     monkeypatch.setattr(flow_module, "_energy", recording)
-    trace = flow(dim4_family(name, CERTIFY_STARTS[name]).tensor, FAST)
+    trace = _certify_flow(name)
     assert trace.converged and len(seen) >= len(trace.samples)
     for mu in seen:
         assert np.array_equal(mu, -mu.transpose(1, 0, 2))
@@ -269,7 +284,7 @@ def test_each_point_is_certified_once(name, monkeypatch):
         return criticality(mu, **kwargs)
 
     monkeypatch.setattr(flow_module, "criticality", recording)
-    assert flow(dim4_family(name, CERTIFY_STARTS[name]).tensor, FAST).converged
+    assert _certify_flow(name).converged
     assert len(seen) == len(set(seen))
 
 
@@ -297,7 +312,7 @@ def test_certificates_only_where_the_flow_can_stop(name, monkeypatch):
 
     monkeypatch.setattr(flow_module, "criticality", recording)
     monkeypatch.setattr(flow_module, "_newton_polish", wrapped)
-    assert flow(dim4_family(name, CERTIFY_STARTS[name]).tensor, FAST).converged
+    assert _certify_flow(name).converged
     assert counts["outside"] <= 2
 
 
@@ -335,7 +350,16 @@ def test_certifying_round_stops_at_first_certified_candidate(name, monkeypatch):
         assert True not in checks[:-1]
 
 
-@pytest.mark.parametrize("name", list(POLISH_STARTS))
+# each of these rejects at least one descent trial before its polish (g7
+# rejects none)
+KEPT_POINT_STARTS = {
+    **{name: dim4_family(name).tensor for name in ("g6", "sl2+C")},
+    "g3(2)": dim4_family("g3", (2.0,)).tensor,
+    **{f"random n={n}": random_tensor(n, seed=0) for n in range(5, 9)},
+}
+
+
+@pytest.mark.parametrize("name", list(KEPT_POINT_STARTS))
 def test_gradient_only_at_kept_points(name, monkeypatch):
     # outside the polish the flow builds the gradient at its start and at
     # each accepted trial, which are exactly its samples; a rejected trial
@@ -367,7 +391,7 @@ def test_gradient_only_at_kept_points(name, monkeypatch):
     monkeypatch.setattr(flow_module, "_delta_coeff", counting_delta)
     monkeypatch.setattr(flow_module, "_energy", counting_energy)
     monkeypatch.setattr(flow_module, "_newton_polish", wrapped)
-    trace = flow(POLISH_STARTS[name])
+    trace = flow(KEPT_POINT_STARTS[name])
     assert trace.converged
     assert counts["gradients"] == len(trace.samples)
     assert counts["trials"] > len(trace.samples)  # so some trials were rejected
@@ -375,8 +399,9 @@ def test_gradient_only_at_kept_points(name, monkeypatch):
 
 @pytest.mark.parametrize("n", range(5, 9))
 def test_random_flow_certifies_its_start_and_one_candidate(n, monkeypatch):
-    # each of these polishes once, after 512 accepted steps, and a candidate
-    # of its first round certifies: the start and that candidate
+    # each of these polishes once, when its gradient falls below
+    # _NEWTON_GATE, and a candidate of its first round certifies: the start
+    # and that candidate
     flow_module = sys.modules["skewflow.flow"]
     calls = []
 
@@ -391,6 +416,65 @@ def test_random_flow_certifies_its_start_and_one_candidate(n, monkeypatch):
         assert len(calls) == 2
 
 
+TRIGGER_STARTS = {**POLISH_STARTS, "g8(2)": dim4_family("g8", (2.0,)).tensor}
+
+
+@pytest.mark.parametrize("name", list(TRIGGER_STARTS))
+def test_first_polish_when_the_gradient_is_small(name, monkeypatch):
+    # the descent hands over to Newton as soon as the tangential gradient is
+    # below _NEWTON_GATE, long before the 512 accepted steps of the count
+    # trigger
+    flow_module = sys.modules["skewflow.flow"]
+    state, polish = flow_module._state, flow_module._newton_polish
+    kept, entries = [], []
+
+    def counting_state(*args):
+        if not entries:  # the start and the accepted trials before a polish
+            kept.append(True)
+        return state(*args)
+
+    def recording(s, *args, **kwargs):
+        entries.append((s.gnorm, len(kept) - 1))
+        return polish(s, *args, **kwargs)
+
+    monkeypatch.setattr(flow_module, "_state", counting_state)
+    monkeypatch.setattr(flow_module, "_newton_polish", recording)
+    assert flow(TRIGGER_STARTS[name]).converged
+    gnorm, accepted = entries[0]
+    assert gnorm < flow_module._NEWTON_GATE
+    assert accepted < 64
+
+
+@pytest.mark.parametrize("name", ["g7", "random n=5"])
+def test_descent_resumes_after_a_polish_that_certifies_nothing(name, monkeypatch):
+    # the first polish is made to certify nothing and to return its entry
+    # point; the descent goes on from there without raising F, and the next
+    # polish waits for a gradient 100 times smaller, which the restarted step
+    # size reaches well before the count trigger
+    expected = flow(POLISH_STARTS[name]).stratum
+    flow_module = sys.modules["skewflow.flow"]
+    polish = flow_module._newton_polish
+    entries = []
+
+    def failing_first(s, f_cap, report_fn, report=None):
+        entries.append(s.gnorm)
+        if len(entries) == 1:
+            rep = report_fn(s)
+            assert not rep.is_critical
+            return s, rep
+        return polish(s, f_cap, report_fn, report)
+
+    monkeypatch.setattr(flow_module, "_newton_polish", failing_first)
+    trace = flow(POLISH_STARTS[name])
+    assert trace.converged and trace.stratum == expected
+    fs = [f for _, f, _ in trace.samples]
+    assert np.all(np.diff(fs) <= 1e-12)
+    assert len(entries) == 2
+    assert entries[0] < flow_module._NEWTON_GATE
+    assert entries[1] < 1e-2 * flow_module._NEWTON_GATE
+    assert len(trace.samples) < 513
+
+
 # (len(samples), converged, stratum, F) of the default-parameter flow from
 # each nonzero four-dimensional family at DEFAULT_PARAMS and from the start
 # of each excluded orbit (g5 is both); where the flow computes its
@@ -398,22 +482,22 @@ def test_random_flow_certifies_its_start_and_one_candidate(n, monkeypatch):
 FLOW_PINS = {
     ("n3+C", ()): (1, True, "(2<3<4;2,1,1)", 12.0),
     ("r2+C2", ()): (1, True, "(0<1;1,3)", 4.0),
-    ("r3+C", ()): (95, True, "(0<1;1,3)", 4.0),
+    ("r3+C", ()): (62, True, "(0<1;1,3)", 4.0),
     ("r3l+C", (0.5,)): (1, True, "(0<1;1,3)", 4.0),
     ("r2+r2", ()): (1, True, "(0<1;2,2)", 2.0),
-    ("sl2+C", ()): (513, True, "(0<1;3,1)", 4 / 3),
+    ("sl2+C", ()): (25, True, "(0<1;3,1)", 4 / 3),
     ("n4", ()): (1, True, "(1<2<3<4;1,1,1,1)", 6.0),
     ("g1", (2.0,)): (1, True, "(0<1;1,3)", 4.0),
-    ("g2", (2.0, 1.0)): (513, True, "(0<1;1,3)", 4.0),
-    ("g3", (2.0,)): (513, True, "(0<1;1,3)", 4.0),
+    ("g2", (2.0, 1.0)): (26, True, "(0<1;1,3)", 4.0),
+    ("g3", (2.0,)): (37, True, "(0<1;1,3)", 4.0),
     ("g4", ()): (1, True, "(0<1;1,3)", 4.0),
-    ("g5", ()): (95, True, "(0<1;1,3)", 4.0),
-    ("g6", ()): (513, True, "(0<1<2;1,2,1)", 3.0),
-    ("g7", ()): (513, True, "(0<1<2;1,2,1)", 3.0),
-    ("g8", (2.0,)): (513, True, "(0<1<2;1,2,1)", 3.0),
+    ("g5", ()): (62, True, "(0<1;1,3)", 4.0),
+    ("g6", ()): (27, True, "(0<1<2;1,2,1)", 3.0),
+    ("g7", ()): (25, True, "(0<1<2;1,2,1)", 3.0),
+    ("g8", (2.0,)): (25, True, "(0<1<2;1,2,1)", 3.0),
     ("g8", (0.25,)): (513, True, "(0<1<2;1,2,1)", 3.0),
-    ("g3", (6.75,)): (513, True, "(0<1;1,3)", 4.0),
-    ("g2", (1 / 27, 1 / 3)): (69, True, "(0<1;1,3)", 4.0),
+    ("g3", (6.75,)): (267, True, "(0<1;1,3)", 4.0),
+    ("g2", (1 / 27, 1 / 3)): (62, True, "(0<1;1,3)", 4.0),
 }
 
 
