@@ -41,7 +41,7 @@ __all__ = [
     "commutator",
 ]
 
-NULLSPACE_TOL = 1e-9  # relative singular-value cut of the rank decisions in this module
+NULLSPACE_TOL = 1e-9  # relative singular-value cut of the rank decisions in the package
 _COND_MAX = 1e12  # act refuses matrices worse conditioned than this
 
 
@@ -290,21 +290,41 @@ def _hermitian_delta_matrix(c: np.ndarray) -> np.ndarray:
     return np.concatenate([m.real, m.imag])
 
 
-def _null_rows(m: np.ndarray, rcond: float) -> np.ndarray:
-    """Orthonormal rows spanning the kernel of a matrix m.
+def _rank(s: np.ndarray, floor: float = 0.0) -> int:
+    """Number of singular values s above NULLSPACE_TOL * max(max s, floor).
 
-    Zero rows add nothing to m* m and are dropped.  Singular values at or
-    below rcond * max(s) count as zero, the threshold of null_space.  A
-    tall m gets the economy SVD; a wide one (n <= 2, or sparse) needs the
-    full right factor, whose extra rows are kernel vectors too.  The SVD
-    runs on numpy's LAPACK, the one the rest of the package uses, because a
-    second BLAS library brings a second thread pool that contends with
-    numpy's on small machines.
+    The one rank rule of the package.  floor is the scale of the tensor the
+    matrix is computed from: a matrix that vanishes for that tensor is only
+    rounding noise in another basis, and a cut at its own largest singular
+    value would count the noise as full rank.
+    """
+    return int(np.count_nonzero(s > NULLSPACE_TOL * np.amax(s, initial=floor)))
+
+
+def _null_rows(m: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the kernel of a matrix m, by _rank.
+
+    Zero rows add nothing to m* m and are dropped.  A tall m gets the
+    economy SVD; a wide one (n <= 2, or sparse) needs the full right factor,
+    whose extra rows are kernel vectors too.  The SVD runs on numpy's
+    LAPACK, the one the rest of the package uses, because a second BLAS
+    library brings a second thread pool that contends with numpy's on small
+    machines.
     """
     m = m[np.any(m != 0, axis=1)]
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    rank = int(np.sum(s > np.amax(s, initial=0.0) * rcond))
-    return vh[rank:].conj()
+    return vh[_rank(s):].conj()
+
+
+def _row_span(m: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Orthonormal rows spanning the row space of a matrix m, by _rank.
+
+    These are rows of the SVD's right factor itself: m = U S Vh, so each row
+    of m is a combination of the rows of Vh, and only the kernel takes
+    their conjugates.
+    """
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    return vh[: _rank(s, floor)]
 
 
 class DerivationBasis:
@@ -326,15 +346,14 @@ class DerivationBasis:
     def complex_basis(self) -> np.ndarray:
         n = self._c.shape[0]
         units = np.eye(n * n).reshape(n * n, n, n)
-        rows = _null_rows(_delta_matrix(self._c, units), NULLSPACE_TOL)
+        rows = _null_rows(_delta_matrix(self._c, units))
         return rows.reshape(-1, n, n)
 
     @cached_property
     def hermitian_basis(self) -> np.ndarray:
         # hermiticity is only R-linear: solve over R on n^2 real coordinates
         return _hermitian_from_coords(
-            _null_rows(_hermitian_delta_matrix(self._c), NULLSPACE_TOL),
-            self._c.shape[0],
+            _null_rows(_hermitian_delta_matrix(self._c)), self._c.shape[0]
         )
 
     @property
@@ -355,18 +374,6 @@ def derivation_algebra(mu: StructureTensor) -> DerivationBasis:
     return DerivationBasis(mu)
 
 
-def _subspace_span(vectors: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the row span of `vectors`."""
-    if vectors.size == 0:
-        width = vectors.shape[1] if vectors.ndim == 2 else 0
-        return np.zeros((width, 0), dtype=complex)
-    _, s, vh = np.linalg.svd(vectors, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((vectors.shape[1], 0), dtype=complex)
-    rank = int(np.sum(s > tol * s[0]))
-    return vh[:rank].conj().T
-
-
 @dataclass(frozen=True)
 class StructureInvariants:
     is_lie: bool
@@ -381,59 +388,41 @@ def structure_invariants(mu: StructureTensor) -> StructureInvariants:
     """Image/center dimensions and structure flags, without dim Der.
 
     For non-Lie input only dim mu(C^n, C^n) is computed; the series-based
-    flags stay None.  dim Der is derivation_algebra(mu).dim_complex.
+    flags stay None.  dim Der is derivation_algebra(mu).dim_complex.  Every
+    rank is _rank's; the series and the Killing form are cut at the scale of
+    mu, ||mu|| and ||mu||^2, as a term that vanishes for the algebra is only
+    rounding noise in a non-canonical basis.
     """
     n = mu.dim
     c = mu.coeff
-    scale = max(mu.norm(), 1.0)
-    dim_image = _subspace_span(c.reshape(n * n, n), NULLSPACE_TOL).shape[1]
+    nrm = mu.norm()
+    scale = max(nrm, 1.0)
+    dim_image = _rank(np.linalg.svd(c.reshape(n * n, n), compute_uv=False))
 
     if jacobi_residual(mu) > 1e-8 * scale**2:
         return StructureInvariants(False, dim_image, None, None, None, None)
 
     # center: kernel of X -> mu(X, .)
     mker = c.transpose(1, 2, 0).reshape(n * n, n)
-    if np.any(mker):
-        svals = np.linalg.svd(mker, compute_uv=False)
-        rank = int(np.sum(svals > NULLSPACE_TOL * svals[0]))
-    else:
-        rank = 0
-    dim_center = n - rank
+    dim_center = n - _rank(np.linalg.svd(mker, compute_uv=False))
 
-    # lower central series: a_{m+1} = mu(C^n, a_m), decreasing
-    basis = np.eye(n, dtype=complex)
-    for _ in range(n + 1):
-        if basis.shape[1] == 0:
-            break
-        vecs = np.einsum("ipk,pj->ijk", c, basis).reshape(-1, n)
-        new = _subspace_span(vecs, NULLSPACE_TOL)
-        if new.shape[1] >= basis.shape[1]:
+    def vanishes(step) -> bool:
+        """Whether the series a_0 = C^n, a_{m+1} = span step(a_m) reaches 0."""
+        basis = np.eye(n, dtype=complex)  # orthonormal rows
+        while basis.shape[0]:
+            new = _row_span(step(basis).reshape(-1, n), nrm)
+            if new.shape[0] >= basis.shape[0]:
+                return False
             basis = new
-            break
-        basis = new
-    is_nilpotent = basis.shape[1] == 0
+        return True
 
-    # derived series: h_{m+1} = mu(h_m, h_m)
-    basis = np.eye(n, dtype=complex)
-    for _ in range(n + 1):
-        if basis.shape[1] == 0:
-            break
-        vecs = np.einsum("ijk,ia,jb->abk", c, basis, basis).reshape(-1, n)
-        new = _subspace_span(vecs, NULLSPACE_TOL)
-        if new.shape[1] >= basis.shape[1]:
-            basis = new
-            break
-        basis = new
-    is_solvable = basis.shape[1] == 0
+    # lower central series a_{m+1} = mu(C^n, a_m), derived h_{m+1} = mu(h_m, h_m)
+    is_nilpotent = vanishes(lambda b: np.einsum("ipk,jp->ijk", c, b))
+    is_solvable = vanishes(lambda b: np.einsum("ijk,ai,bj->abk", c, b, b))
 
-    # Killing form nondegeneracy, tested on the eigenvalue-normalized matrix
+    # semisimple: the Killing form is nondegenerate
     killing = np.einsum("iqp,jpq->ij", c, c)
-    eigs = np.linalg.eigvals(killing)
-    lmax = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    if lmax == 0.0:
-        is_semisimple = False
-    else:
-        is_semisimple = bool(abs(np.linalg.det(killing / lmax)) > 1e-8)
+    is_semisimple = _rank(np.linalg.svd(killing, compute_uv=False), nrm**2) == n
 
     return StructureInvariants(
         True, dim_image, dim_center, is_nilpotent, is_solvable, is_semisimple
@@ -486,9 +475,8 @@ def semidirect_extension(
 
     # Trace-orthonormal basis of r = span(gens).
     flat = np.array([g.ravel() for g in gens])
-    basis_cols = _subspace_span(flat, NULLSPACE_TOL)
-    d = basis_cols.shape[1]
-    onb = np.ascontiguousarray(basis_cols.T).reshape(d, m, m)
+    onb = _row_span(flat).reshape(-1, m, m)
+    d = len(onb)
 
     # Closure under commutator, and structure constants f[a, b, :] of r.
     f = np.zeros((d, d, d), dtype=complex)

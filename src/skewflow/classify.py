@@ -4,12 +4,15 @@ A critical point's derivation part D determines its *type*: the ascending
 coprime nonnegative integers (k_1 < ... < k_r; d_1, ..., d_r) proportional to
 the clustered eigenvalues of D with their multiplicities.  Rationalization
 uses the additive relations c_i + c_j = c_k among the eigenvalue clusters:
-with E the matrix of an independent set of relation vectors e_i + e_j - e_k
-and W = diag(1/d_i),
+with E the matrix of the relation vectors e_i + e_j - e_k and W =
+diag(1/d_i), the direction (1/alpha) (c_1, ..., c_r) is the projection of 1
+onto ker E in the metric of W^-1,
 
-    (1/alpha) (c_1, ..., c_r) = 1 - W E^t (E W E^t)^{-1} 1,
+    W^(1/2) N^t N W^(-1/2) 1,   N orthonormal rows spanning ker(E W^(1/2)),
 
-a rational vector, which is then reconstructed exactly by continued
+which is 1 - W E^t (E W E^t)^{-1} 1 when the relations are independent
+(each relation sums to 1).  N comes from the package's one rank rule.  The
+direction is a rational vector, reconstructed exactly by continued
 fractions and scaled to coprime integers.
 """
 
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import StructureTensor, delta, hermitian_part
+from .algebra import StructureTensor, _null_rows, delta, hermitian_part
 
 __all__ = [
     "CriticalType",
@@ -131,20 +134,10 @@ def extract_type(d: np.ndarray, tol: float = 1e-6) -> CriticalType:
                     v[k] -= 1.0
                     rels.append(v)
 
-    # maximal linearly independent subset
-    rows = []
-    for v in rels:
-        cand = np.array(rows + [v])
-        if np.linalg.matrix_rank(cand, tol=1e-9) > len(rows):
-            rows.append(v)
-
-    if rows:
-        e = np.array(rows)
-        w = np.diag(1.0 / np.asarray(mults, dtype=float))
-        y = np.linalg.solve(e @ w @ e.T, np.ones(len(rows)))
-        direction = np.ones(r) - w @ e.T @ y
-    else:
-        direction = np.ones(r)
+    w_half = 1.0 / np.sqrt(np.asarray(mults, dtype=float))
+    e = np.array(rels).reshape(-1, r)
+    kernel = _null_rows(e * w_half)
+    direction = w_half * (kernel.T @ (kernel @ (1.0 / w_half)))
 
     fracs = [Fraction(x).limit_denominator(10**6) for x in direction]
     den = math.lcm(*(f.denominator for f in fracs))

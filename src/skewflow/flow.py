@@ -95,7 +95,7 @@ class _State(NamedTuple):
     mu: np.ndarray  # unit-norm coefficient array
     f: float  # tr(R^2)
     r: np.ndarray  # moment-map matrix
-    g_amb: np.ndarray  # ambient gradient of tr(R^2)
+    radial: float  # Re<mu, g_amb>, g_amb the ambient gradient of tr(R^2)
     g_tan: np.ndarray  # tangential component at mu
     gnorm: float
 
@@ -109,8 +109,9 @@ def _energy(mu: np.ndarray) -> tuple[np.ndarray, float]:
 def _state(mu: np.ndarray, r: np.ndarray, f: float) -> _State:
     """The gradient at a point whose _energy is (r, f)."""
     g_amb = _delta_coeff(mu, -8.0 * r)  # -8 is a power of two: exact
-    g_tan = g_amb - np.vdot(mu, g_amb).real * mu
-    return _State(mu, f, r, g_amb, g_tan, float(np.linalg.norm(g_tan)))
+    radial = np.vdot(mu, g_amb).real
+    g_tan = g_amb - radial * mu
+    return _State(mu, f, r, radial, g_tan, float(np.linalg.norm(g_tan)))
 
 
 def _normalized(c: np.ndarray) -> np.ndarray:
@@ -153,7 +154,7 @@ def _hessian(s: _State) -> np.ndarray:
     polish coordinates: sqrt(2) times _hermitian_delta_matrix, whose rows
     are [Re; Im] of delta on the i < j pairs, as polish coordinates are
     sqrt(2) (Re, Im).  The tangent projection P = I - x x^T (x the
-    coordinates of mu) and the sphere term -lambda P, lambda =
+    coordinates of mu) and the sphere term -lambda P, lambda = s.radial =
     Re<mu, g_amb>, are rank-one updates.
     """
     mu, r = s.mu, s.r
@@ -170,15 +171,14 @@ def _hessian(s: _State) -> np.ndarray:
     h += 32.0 * (lmat @ lmat.T)
 
     x = _to_coords(mu)
-    lam = np.vdot(mu, s.g_amb).real
     u = h @ x
     h -= np.outer(x, u) + np.outer(u, x)
-    h += (x @ u + lam) * np.outer(x, x)
-    h[np.diag_indices_from(h)] -= lam
+    h += (x @ u + s.radial) * np.outer(x, x)
+    h[np.diag_indices_from(h)] -= s.radial
     return 0.5 * (h + h.T)
 
 
-def _newton_polish(s: _State, f_cap: float, report_fn, report=None):
+def _newton_polish(s: _State, report_fn, report=None):
     """Sharpen a near-stationary point by Newton steps on the gradient.
 
     The descent's energy comparisons go blind once tr(R^2) reaches its
@@ -188,13 +188,13 @@ def _newton_polish(s: _State, f_cap: float, report_fn, report=None):
     directions, and on degenerate approaches the curvature of the slow
     directions itself decays toward zero, so each round tries truncated
     pseudoinverses over a ladder of spectral cutoffs, skipping any that
-    raise the energy above f_cap.  The first candidate whose criticality
-    certificate passes ends the polish.  A round that certifies none moves
-    to the candidate with the smallest residual if that is below 0.9 times
-    the current point's, and ends the polish otherwise.  report is the
-    current point's certificate, or None when the caller has not computed
-    it; report_fn(s) then runs only where it is read, after a round that
-    certifies nothing or on return.  The linear algebra runs in the
+    raise the energy above the round's start by more than _F_SLACK.  The
+    first candidate whose criticality certificate passes ends the polish.
+    A round that certifies none moves to the candidate with the smallest
+    residual if that is below 0.9 times the current point's, and ends the
+    polish otherwise.  report is the current point's certificate, or None
+    when the caller has not computed it; report_fn(s) then runs only where
+    it is read, after a round that certifies nothing or on return.  The linear algebra runs in the
     n^2 (n-1) polish coordinates of _to_coords, sqrt(2) (Re, Im) of the
     entries [i, j, k] with i < j; a solution goes back to a tensor by
     _from_coords, a scatter into the [i, j] and [j, i] halves.  _hessian
@@ -227,7 +227,7 @@ def _newton_polish(s: _State, f_cap: float, report_fn, report=None):
                 step = step * (0.1 / norm)
             mu_t = _normalized(s.mu + step)
             r_t, f_t = _energy(mu_t)
-            if f_t > f_cap:
+            if f_t > s.f + _F_SLACK:
                 continue
             t = _state(mu_t, r_t, f_t)
             rep_t = report_fn(t)
@@ -240,7 +240,6 @@ def _newton_polish(s: _State, f_cap: float, report_fn, report=None):
         if chosen is None or chosen[1].residual >= 0.9 * report.residual:
             break
         s, report = chosen
-        f_cap = s.f + _F_SLACK
     if report is None:
         report = report_fn(s)
     return s, report
@@ -297,7 +296,7 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
                 if counted or s.gnorm < newton_gate:
                     if counted:
                         next_polish *= 4
-                    s, report = _newton_polish(s, s.f + _F_SLACK, _report)
+                    s, report = _newton_polish(s, _report)
                     if report.is_critical:
                         break
                     newton_gate *= 1e-2
@@ -317,7 +316,7 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
         if not report.is_critical:  # the loop did not end on a certified polish
             report = _report(s)
             if not report.is_critical and s.gnorm < _POLISH_GATE:
-                s, report = _newton_polish(s, s.f + _F_SLACK, _report, report)
+                s, report = _newton_polish(s, _report, report)
 
     trace = FlowTrace(
         samples=samples,

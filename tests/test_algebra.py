@@ -27,6 +27,7 @@ from skewflow import (
     sl2_compact,
     structure_invariants,
 )
+from skewflow.verify import _partitions_upto
 
 
 def _rand_matrix(rng, n):
@@ -376,7 +377,7 @@ class TestDerivationDims:
     @pytest.mark.parametrize("mu", NULLITY_INPUTS, ids=NULLITY_IDS)
     def test_nullity_matches_null_space(self, mu):
         for system in _delta_systems(mu):
-            nullity = algebra._null_rows(system, algebra.NULLSPACE_TOL).shape[0]
+            nullity = algebra._null_rows(system).shape[0]
             assert nullity == null_space(system, rcond=1e-9).shape[1]
 
     @pytest.mark.parametrize("mu", NULLITY_INPUTS, ids=NULLITY_IDS)
@@ -387,14 +388,14 @@ class TestDerivationDims:
             zeros = np.zeros_like(system)
             interleaved = np.stack([system, zeros], axis=1).reshape(-1, system.shape[1])
             for padded in (system, np.concatenate([system, zeros]), interleaved):
-                rows = algebra._null_rows(padded, algebra.NULLSPACE_TOL)
+                rows = algebra._null_rows(padded)
                 assert rows.shape[0] == ref.shape[1]
                 assert np.abs(rows.T @ rows.conj() - ref_proj).max() <= 1e-12
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_all_zero_matrix_has_full_kernel(self, dtype):
         for k, width in ((5, 3), (3, 5), (0, 4)):
-            rows = algebra._null_rows(np.zeros((k, width), dtype), 1e-9)
+            rows = algebra._null_rows(np.zeros((k, width), dtype))
             assert rows.shape == (width, width)
             assert np.allclose(rows @ rows.conj().T, np.eye(width), atol=1e-12)
 
@@ -402,9 +403,9 @@ class TestDerivationDims:
         kinds = []
         real_null_rows = algebra._null_rows
 
-        def counting(m, rcond):
+        def counting(m):
             kinds.append("hermitian" if np.isrealobj(m) else "complex")
-            return real_null_rows(m, rcond)
+            return real_null_rows(m)
 
         mu = dim4_family("g6").tensor  # the catalog computes flags eagerly
         monkeypatch.setattr(algebra, "_null_rows", counting)
@@ -431,6 +432,43 @@ def test_structure_invariants_flags():
     assert c4.is_lie and c4.dim_center == 4
     non_lie = structure_invariants(random_tensor(3, seed=13))
     assert not non_lie.is_lie and non_lie.is_nilpotent is None
+
+
+# every nonzero canonical entry, the sized families and the partition normal
+# forms up to size 5: 49 Lie brackets
+INVARIANT_INPUTS = {
+    **{e.name: e.tensor for e in all_entries() if not e.tensor.is_zero()},
+    **{f"mu_he({n})": mu_he(n).tensor for n in range(3, 9)},
+    **{f"mu_hy({n})": mu_hy(n).tensor for n in range(2, 9)},
+    **{f"nf{p}": mu_A(nilpotent_normal_form(p)).tensor for p in _partitions_upto(5)},
+}
+
+
+def _basis_changes(n):
+    """Three seeded near-identity complex matrices, two seeded unitaries and
+    a diagonal spread over two decades."""
+    rng = np.random.default_rng(n)
+    near = [np.eye(n) + 0.3 * _rand_matrix(rng, n) for _ in range(3)]
+    unitary = [np.linalg.qr(_rand_matrix(rng, n))[0] for _ in range(2)]
+    return [*near, *unitary, np.diag(np.logspace(0, -2, n))]
+
+
+@pytest.mark.parametrize("name", list(INVARIANT_INPUTS))
+def test_structure_invariants_do_not_depend_on_the_basis(name):
+    # a series term or Killing form that vanishes for the algebra is only
+    # rounding noise in another basis, and a complex basis must not conjugate
+    # the series' subspaces
+    mu = INVARIANT_INPUTS[name]
+    expected = structure_invariants(mu)
+    for g in _basis_changes(mu.dim):
+        assert structure_invariants(act(g, mu)) == expected
+
+
+def test_semisimple_in_a_spread_basis():
+    sl2 = sl2_compact().tensor
+    g = np.diag([1.0, 1.0, 1 / 30, 1.0, 1.0, 1 / 30])
+    flags = structure_invariants(act(g, direct_sum(sl2, sl2)))
+    assert flags.is_semisimple and not flags.is_solvable
 
 
 def test_direct_sum_blocks():
@@ -472,6 +510,15 @@ class TestSemidirect:
         assert np.allclose(ext.coeff[1:, 1:, 1:], he.coeff)
         # the adjoined generator acts on the ideal, never lands outside it
         assert np.linalg.norm(ext.coeff[0, 1:, 0]) == 0.0
+
+    def test_complex_generator_acts_as_itself(self):
+        # [B, e_p] = sum_k B[k, p] e_k, so ext.coeff[0, 1:, 1:] = B^T, with B
+        # the generator up to a complex scale, never its conjugate
+        he = mu_he(3).tensor.normalized()
+        gen = np.diag([1.0, 1j, 1.0 + 1j])
+        ext = semidirect_extension(he, [gen], -6.0)
+        action = ext.coeff[0, 1:, 1:].T
+        assert np.allclose(action / action[0, 0], gen, rtol=0, atol=1e-12)
 
 
 def test_commutator_and_hermitian_part():

@@ -7,6 +7,7 @@ from skewflow import (
     CriticalType,
     TypeExtractionError,
     abelian_sum_type,
+    all_entries,
     criticality,
     critical_value,
     dim4_family,
@@ -17,6 +18,7 @@ from skewflow import (
     predicted_partition_ks,
     v_alpha_membership,
 )
+from skewflow.verify import _partitions_upto
 
 
 class TestCriticalType:
@@ -93,6 +95,31 @@ class TestExtractType:
     def test_from_critical_report(self):
         rep = criticality(dim4_family("n4").tensor)
         assert extract_type(rep.D_mu) == CriticalType((1, 2, 3, 4), (1, 1, 1, 1))
+
+
+def test_extract_type_recovers_every_type_the_package_produces():
+    # the 29 partition types of size <= 6, each with 1..3 abelian lines
+    # adjoined, and the catalog's expected types: 134 types, each under
+    # three seeded unitary conjugations and positive scales
+    partition_types = [nilpotent_partition_type(p) for p in _partitions_upto(6)]
+    types = [
+        *partition_types,
+        *(abelian_sum_type(t, m) for t in partition_types for m in (1, 2, 3)),
+        *(e.expected_type for e in all_entries() if e.expected_type is not None),
+    ]
+    assert len(types) == 134
+    rng = np.random.default_rng(14)
+    wrong = []
+    for t in types:
+        for _ in range(3):
+            q, _ = np.linalg.qr(
+                rng.standard_normal((t.n, t.n)) + 1j * rng.standard_normal((t.n, t.n))
+            )
+            d = 10.0 ** rng.uniform(-2, 2) * (q * t.weights()) @ q.conj().T
+            got = extract_type(d)
+            if got != t:
+                wrong.append((str(t), str(got)))
+    assert wrong == []
 
 
 class TestCriticalValue:

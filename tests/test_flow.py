@@ -456,13 +456,13 @@ def test_descent_resumes_after_a_polish_that_certifies_nothing(name, monkeypatch
     polish = flow_module._newton_polish
     entries = []
 
-    def failing_first(s, f_cap, report_fn, report=None):
+    def failing_first(s, report_fn, report=None):
         entries.append(s.gnorm)
         if len(entries) == 1:
             rep = report_fn(s)
             assert not rep.is_critical
             return s, rep
-        return polish(s, f_cap, report_fn, report)
+        return polish(s, report_fn, report)
 
     monkeypatch.setattr(flow_module, "_newton_polish", failing_first)
     trace = flow(POLISH_STARTS[name])

@@ -102,6 +102,30 @@ def test_waiting_exports_are_still_exported_and_unused():
     assert sorted(set(WAITING) & used) == []  # a caller arrived: drop the entry
 
 
+def test_one_rank_rule():
+    # every rank decision goes through the one function that reads
+    # NULLSPACE_TOL; no module keeps a rank or determinant test of its own
+    readers, calls = set(), []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if (
+            isinstance(node, ast.Name) and node.id == "NULLSPACE_TOL"
+            and isinstance(node.ctx, ast.Load)
+        ):
+            readers.add(where)
+        if isinstance(node, ast.Attribute) and node.attr in ("matrix_rank", "det"):
+            calls.append(f"{where}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "skewflow").glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert len(readers) == 1 and "." in next(iter(readers)), readers
+    assert calls == []
+
+
 def _third_party_imports():
     """Top-level names of the absolute non-stdlib imports in the package."""
     found = set()
