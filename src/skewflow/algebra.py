@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 NULLSPACE_TOL = 1e-9  # relative singular-value cut of the rank decisions in the package
+_RESIDUAL_TOL = 1e-8  # relative cut of the residual tests in the package
 _COND_MAX = 1e12  # act refuses matrices worse conditioned than this
 
 
@@ -301,6 +302,16 @@ def _rank(s: np.ndarray, floor: float = 0.0) -> int:
     return int(np.count_nonzero(s > NULLSPACE_TOL * np.amax(s, initial=floor)))
 
 
+def _negligible(residual, norm_a: float, norm_b: float):
+    """Whether a bilinear residual is zero: at most _RESIDUAL_TOL times the
+    product of its two inputs' norms.  Elementwise on arrays.
+
+    The one scale rule of the package, beside _rank's rank rule: F is
+    scale-invariant, so no decision may depend on the size of the inputs.
+    """
+    return residual <= _RESIDUAL_TOL * norm_a * norm_b
+
+
 def _null_rows(m: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the kernel of a matrix m, by _rank.
 
@@ -391,15 +402,15 @@ def structure_invariants(mu: StructureTensor) -> StructureInvariants:
     flags stay None.  dim Der is derivation_algebra(mu).dim_complex.  Every
     rank is _rank's; the series and the Killing form are cut at the scale of
     mu, ||mu|| and ||mu||^2, as a term that vanishes for the algebra is only
-    rounding noise in a non-canonical basis.
+    rounding noise in a non-canonical basis.  The Jacobi test is
+    _negligible's, against ||mu||^2, so every flag is scale-invariant.
     """
     n = mu.dim
     c = mu.coeff
     nrm = mu.norm()
-    scale = max(nrm, 1.0)
     dim_image = _rank(np.linalg.svd(c.reshape(n * n, n), compute_uv=False))
 
-    if jacobi_residual(mu) > 1e-8 * scale**2:
+    if not _negligible(jacobi_residual(mu), nrm, nrm):
         return StructureInvariants(False, dim_image, None, None, None, None)
 
     # center: kernel of X -> mu(X, .)
@@ -439,10 +450,7 @@ def direct_sum(mu: StructureTensor, lam: StructureTensor, c: float = 1.0) -> Str
 
 
 def semidirect_extension(
-    lam: StructureTensor,
-    gens: list,
-    c_lambda: float,
-    tol: float = 1e-8,
+    lam: StructureTensor, gens: list, c_lambda: float
 ) -> StructureTensor:
     """Extend a bracket lam on C^m by a reductive algebra r of derivations.
 
@@ -453,9 +461,15 @@ def semidirect_extension(
         <A, B> = -(4 / c_lambda) * (tr(ad A (ad B)^H)/2 + tr(A B^H)),
 
     adjoints taken in the trace inner product on r, via the hermitian square
-    root of the Gram matrix so the result does not depend on generator order.
+    root of the Gram matrix.  Another list spanning the same r (reordered,
+    say) can give another trace-orthonormal basis, so the result is the same
+    only up to a unitary change of basis of r.
     When lam is a nilpotent critical point with constant c_lambda < 0 this
     produces a critical point again.
+
+    Both input tests follow the one scale rule, _negligible: delta_lam(A) of
+    each generator and adjoint A against ||A|| ||lam||, and the part of each
+    commutator of r's trace-orthonormal basis outside r against 1 * 1.
     """
     m = lam.dim
     if lam.is_zero():
@@ -465,53 +479,41 @@ def semidirect_extension(
     if not gens:
         return lam
 
-    gens = [np.asarray(g, dtype=complex) for g in gens]
-    for g in gens:
-        if g.shape != (m, m):
-            raise ValueError("generator dimension mismatch")
-        for a in (g, g.conj().T):
-            if delta(lam, a).norm() > tol * max(np.linalg.norm(a), 1.0) * lam.norm():
-                raise ValueError("generators and their adjoints must be derivations")
+    if any(np.shape(g) != (m, m) for g in gens):
+        raise ValueError("generator dimension mismatch")
+    gens = np.array(gens, dtype=complex)
+    both = np.concatenate([gens, gens.conj().swapaxes(-1, -2)])
+    defects = np.linalg.norm(_delta_coeff(lam.coeff, both).reshape(len(both), -1), axis=1)
+    if not np.all(_negligible(defects, np.linalg.norm(both, axis=(-2, -1)), lam.norm())):
+        raise ValueError("generators and their adjoints must be derivations")
 
-    # Trace-orthonormal basis of r = span(gens).
-    flat = np.array([g.ravel() for g in gens])
-    onb = _row_span(flat).reshape(-1, m, m)
+    # Trace-orthonormal basis O of r = span(gens), the commutators
+    # [O_a, O_b], their coordinates f[a, b, :] in O, and their part outside r.
+    onb = _row_span(gens.reshape(len(gens), -1)).reshape(-1, m, m)
     d = len(onb)
-
-    # Closure under commutator, and structure constants f[a, b, :] of r.
-    f = np.zeros((d, d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            k = commutator(onb[a], onb[b])
-            coeffs = np.array([np.vdot(onb[x], k) for x in range(d)])
-            rem = k - np.einsum("x,xij->ij", coeffs, onb)
-            if np.linalg.norm(rem) > tol * max(np.linalg.norm(k), 1.0):
-                raise ValueError("generators do not span a subalgebra")
-            f[a, b] = coeffs
+    brackets = commutator(onb[:, None], onb[None])
+    f = np.einsum("xpq,abpq->abx", onb.conj(), brackets)
+    outside = brackets - np.einsum("abx,xpq->abpq", f, onb)
+    if not np.all(_negligible(np.linalg.norm(outside, axis=(-2, -1)), 1.0, 1.0)):
+        raise ValueError("generators do not span a subalgebra")
 
     # Gram matrix of the extension inner product in the trace-orthonormal
     # basis: ad O_a has matrix M_a[c, b] = f[a, b, c]; tr(O_a O_b^H) = d_ab.
     gram = -4.0 / c_lambda * (0.5 * np.einsum("auc,buc->ab", f, np.conj(f)) + np.eye(d))
     gram = hermitian_part(gram)
     evals, evecs = np.linalg.eigh(gram)
-    if np.min(evals) <= 0:
+    if np.any(evals <= 0):
         raise ValueError("extension inner product is not positive definite")
     s_inv_half = (evecs * evals**-0.5) @ evecs.conj().T  # gram^(-1/2)
     s_half = (evecs * evals**0.5) @ evecs.conj().T
     new_basis = np.einsum("aj,apq->jpq", s_inv_half, onb)
 
-    n_total = d + m
-    out = np.zeros((n_total, n_total, n_total), dtype=complex)
-    # r x r: commutators, re-expanded in the new basis (coords map by s_half)
-    for i in range(d):
-        for j in range(d):
-            k = commutator(new_basis[i], new_basis[j])
-            t = np.array([np.vdot(onb[x], k) for x in range(d)])
-            out[i, j, :d] = s_half @ t
+    out = np.zeros((d + m, d + m, d + m), dtype=complex)
+    # r x r: [B_i, B_j] in O-coordinates from f, re-expanded in B by s_half
+    out[:d, :d, :d] = np.einsum("ai,bj,abx,yx->ijy", s_inv_half, s_inv_half, f, s_half)
     # r acting on the ideal: [B_i, e_p] = sum_k B_i[k, p] e_k
-    for i in range(d):
-        out[i, d:, d:] = new_basis[i].T
-    out[d:, :d, d:] = -np.transpose(out[:d, d:, d:], (1, 0, 2))
+    out[:d, d:, d:] = new_basis.swapaxes(-1, -2)
+    out[d:, :d, d:] = -out[:d, d:, d:].swapaxes(0, 1)
     # ideal x ideal: lam itself
     out[d:, d:, d:] = lam.coeff
     return StructureTensor(out)

@@ -11,13 +11,13 @@ limit value of the gradient flow where these are known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .algebra import StructureTensor, commutator, structure_invariants
-from .classify import CriticalType
+from .classify import CriticalType, critical_value, nilpotent_partition_type
 
 __all__ = [
     "CatalogEntry",
@@ -352,17 +352,11 @@ def resolve(name: str, params=None, dim=None, seed=None) -> CatalogEntry:
         if not params:
             raise ValueError("catalog entry 'nilpotent' needs a partition in --params")
         partition = tuple(int(round(complex(x).real)) for x in params)
-        from .classify import nilpotent_partition_type
-
-        entry = mu_A(nilpotent_normal_form(partition))
         t = nilpotent_partition_type(partition)
-        from .classify import critical_value
-
-        return CatalogEntry(
+        return replace(
+            mu_A(nilpotent_normal_form(partition)),
             name="nilpotent", params=tuple(map(complex, partition)),
-            tensor=entry.tensor, expected_type=t, expected_F=critical_value(t),
-            is_nilpotent=entry.is_nilpotent, is_solvable=entry.is_solvable,
-            is_semisimple=entry.is_semisimple, notes=entry.notes,
+            expected_type=t, expected_F=critical_value(t),
         )
     if name == "random":
         tensor = random_tensor(int(dim) if dim else 4, int(seed) if seed else 0)
@@ -398,19 +392,11 @@ def listing() -> list:
     Variadic entries (nilpotent partitions, random tensors) report arity -1
     and the dim of their smallest instance.
     """
-    rows = []
-    for name in DIM4_FAMILY_NAMES:
-        e = dim4_family(name, DEFAULT_PARAMS.get(name, ()))
-        rows.append(
-            {"name": name, "param_arity": DIM4_FAMILY_ARITY[name], "dim": 4,
-             "flags": _flags(e)}
-        )
-    rows.append({"name": "mu_he", "param_arity": 0, "dim": 4,
-                 "flags": _flags(mu_he(4))})
-    rows.append({"name": "mu_hy", "param_arity": 0, "dim": 4,
-                 "flags": _flags(mu_hy(4))})
-    rows.append({"name": "sl2_compact", "param_arity": 0, "dim": 3,
-                 "flags": _flags(sl2_compact())})
+    rows = [
+        {"name": e.name, "param_arity": DIM4_FAMILY_ARITY.get(e.name, 0), "dim": e.dim,
+         "flags": _flags(e)}
+        for e in all_entries()
+    ]
     rows.append({"name": "nilpotent", "param_arity": -1, "dim": 3,
                  "flags": ["nilpotent", "solvable"]})
     rows.append({"name": "random", "param_arity": -1, "dim": 4, "flags": []})

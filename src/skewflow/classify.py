@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import StructureTensor, _null_rows, delta, hermitian_part
+from .algebra import StructureTensor, _negligible, _null_rows, delta, hermitian_part
 
 __all__ = [
     "CriticalType",
@@ -112,6 +112,10 @@ def extract_type(d: np.ndarray, tol: float = 1e-6) -> CriticalType:
     tol*max|c|; the multiplicity-weighted projection recovers the rational
     direction, reconstructed by continued fractions (denominators <= 1e6).
     Raises TypeExtractionError when the spectrum admits no consistent type.
+
+    The zero-type floor max|c| <= tol stays absolute, unlike the residual
+    tests' scale rule: the input is D of a unit-norm tensor, and of the zero
+    type only rounding is left.
     """
     d = np.asarray(d, dtype=complex)
     evals = np.linalg.eigvalsh(hermitian_part(d))
@@ -218,16 +222,18 @@ def h_alpha(t: CriticalType) -> np.ndarray:
     return np.diag(t.weights() - shift).astype(complex)
 
 
-def v_alpha_membership(mu: StructureTensor, t: CriticalType, tol: float = 1e-8) -> bool:
+def v_alpha_membership(mu: StructureTensor, t: CriticalType) -> bool:
     """Whether diag(k_1 I_{d_1}, ..., k_r I_{d_r}) is a derivation of mu.
 
     True exactly when mu is graded by the eigenspaces with weights k_i, in
-    the basis ordering fixed by t.
+    the basis ordering fixed by t.  ||delta_mu(D_alpha)|| is tested against
+    ||D_alpha|| ||mu|| by the package's one scale rule.
     """
     if t.n != mu.dim:
         raise ValueError("type dimension does not match the tensor")
     d_alpha = np.diag(t.weights()).astype(complex)
-    return bool(delta(mu, d_alpha).norm() <= tol * mu.norm())
+    defect = delta(mu, d_alpha).norm()
+    return bool(_negligible(defect, np.linalg.norm(d_alpha), mu.norm()))
 
 
 def predicted_partition_ks(partition) -> tuple:

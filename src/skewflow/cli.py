@@ -231,7 +231,7 @@ def _cmd_moment(args) -> int:
 
 def _classification(tensor, crit_tol):
     rep = criticality(
-        tensor.normalized(), **({"tol": crit_tol} if crit_tol else {})
+        tensor.normalized(), **({"tol": crit_tol} if crit_tol is not None else {})
     )
     stratum = None
     note = None

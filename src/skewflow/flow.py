@@ -67,8 +67,8 @@ class FlowParams:
     crit_tol: float = 1e-8
 
     def __post_init__(self):
-        if min(self.grad_tol, self.crit_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0 < tol < np.inf for tol in (self.grad_tol, self.crit_tol)):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 

@@ -95,8 +95,10 @@ def criticality(mu: StructureTensor, tol: float = 1e-8) -> CriticalReport:
     """Project R onto span_R{I} + hermitian derivations; report the remainder.
 
     The input is normalized internally, so residual and F_value refer to the
-    unit-sphere representative.
+    unit-sphere representative.  tol must be positive and finite.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if mu.is_zero():
         raise ValueError("criticality is undefined at the zero tensor")
     nu = mu.normalized()

@@ -190,17 +190,14 @@ def type_to_dict(ctype: CriticalType) -> dict:
     return {"ks": list(ctype.ks), "ds": list(ctype.ds)}
 
 
-def report_to_dict(report: CriticalReport, stratum: CriticalType | None = None) -> dict:
-    out = {
+def report_to_dict(report: CriticalReport) -> dict:
+    return {
         "c_mu": float(report.c_mu),
         "D_eigenvalues": [float(x) for x in report.d_eigenvalues()],
         "residual": float(report.residual),
         "F": float(report.F_value),
         "is_critical": bool(report.is_critical),
     }
-    if stratum is not None:
-        out["type"] = type_to_dict(stratum)
-    return out
 
 
 def fraction_str(value: Fraction) -> str:

@@ -15,6 +15,7 @@ from skewflow import (
     derivation_algebra,
     direct_sum,
     dim4_family,
+    extract_type,
     hermitian_part,
     inner_product,
     jacobi_residual,
@@ -464,6 +465,26 @@ def test_structure_invariants_do_not_depend_on_the_basis(name):
         assert structure_invariants(act(g, mu)) == expected
 
 
+SCALED_INPUTS = {
+    **INVARIANT_INPUTS,
+    **{f"random({n},{s})": random_tensor(n, s) for n in range(2, 7) for s in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", list(SCALED_INPUTS))
+def test_decisions_do_not_depend_on_the_scale(name):
+    # F is scale-invariant, so no flag and no certificate may follow ||mu||;
+    # an absolute Jacobi cut called small random tensors semisimple Lie algebras
+    mu = SCALED_INPUTS[name]
+    flags, report = structure_invariants(mu), criticality(mu)
+    for e in range(-8, 9, 2):
+        scaled = StructureTensor(10.0**e * mu.coeff)
+        assert structure_invariants(scaled) == flags, e
+        got = criticality(scaled)
+        assert got.is_critical == report.is_critical, e
+        assert got.F_value == pytest.approx(report.F_value, rel=1e-12), e
+
+
 def test_semisimple_in_a_spread_basis():
     sl2 = sl2_compact().tensor
     g = np.diag([1.0, 1.0, 1 / 30, 1.0, 1.0, 1 / 30])
@@ -484,6 +505,34 @@ def test_direct_sum_blocks():
     assert inner_product(s, s).real == pytest.approx(
         inner_product(a, a).real + inner_product(b, b).real
     )
+
+
+def _semidirect_reference(lam, gens, c_lambda):
+    """semidirect_extension pair by pair: ad matrices and the Gram matrix
+    from matrix commutators, and each [B_i, B_j] solved for in the new basis."""
+    m = lam.dim
+    flat = np.array([np.ravel(g) for g in gens], dtype=complex)
+    onb = algebra._row_span(flat).reshape(-1, m, m)
+    d = len(onb)
+
+    def coords(basis, k):
+        return np.linalg.lstsq(basis.reshape(d, -1).T, k.ravel(), rcond=None)[0]
+
+    ad = np.array([[coords(onb, commutator(a, b)) for b in onb] for a in onb])
+    gram = -4.0 / c_lambda * np.array(
+        [[0.5 * np.vdot(ad[b], ad[a]) + np.vdot(onb[b], onb[a]) for b in range(d)]
+         for a in range(d)]
+    )
+    w, v = np.linalg.eigh(gram)
+    new = np.einsum("aj,apq->jpq", (v * w**-0.5) @ v.conj().T, onb)
+    out = np.zeros((d + m,) * 3, dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            out[i, j, :d] = coords(new, commutator(new[i], new[j]))
+        out[i, d:, d:] = new[i].T
+        out[d:, i, d:] = -new[i].T
+    out[d:, d:, d:] = lam.coeff
+    return out
 
 
 class TestSemidirect:
@@ -510,6 +559,60 @@ class TestSemidirect:
         assert np.allclose(ext.coeff[1:, 1:, 1:], he.coeff)
         # the adjoined generator acts on the ideal, never lands outside it
         assert np.linalg.norm(ext.coeff[0, 1:, 0]) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-8, 1e-4, 1.0, 1e4, 1e8])
+    def test_generator_scale_decides_nothing(self, scale):
+        # a small non-derivation has a small defect only because it is small
+        he = mu_he(3).tensor.normalized()
+        with pytest.raises(ValueError):
+            semidirect_extension(he, [scale * np.diag([1.0, 1.0, 5.0])], -6.0)
+        rep = criticality(semidirect_extension(he, [scale * np.diag([1.0, 1.0, 2.0])], -6.0))
+        assert rep.is_critical
+        assert str(extract_type(rep.D_mu)) == "(0<1<2;1,2,1)"
+        assert rep.F_value == pytest.approx(3.0, abs=1e-12)
+
+    def test_accepts_a_commuting_pair_with_a_rounding_commutator(self):
+        # the closure residual is cut against the unit norms of the
+        # orthonormal basis, not against the commutator's own rounding size
+        he = mu_he(3).tensor.normalized()
+        u = np.linalg.qr(_rand_matrix(np.random.default_rng(0), 2))[0]
+        pair = [np.zeros((3, 3), dtype=complex) for _ in range(2)]
+        for gen, weights in zip(pair, ([1.0, 0.0], [0.0, 1.0])):
+            gen[:2, :2] = u @ np.diag(weights) @ u.conj().T
+            gen[2, 2] = 1.0
+        assert 0 < np.linalg.norm(commutator(*pair)) <= 1e-15
+        ext = semidirect_extension(he, pair, -6.0)
+        assert ext.dim == 5 and criticality(ext).is_critical
+
+    @pytest.mark.parametrize("name, ctype, value", [
+        ("torus", "(0<1<2;2,2,1)", 12 / 7),
+        ("su(2)", "(0<1<2;3,2,1)", 6 / 5),
+        ("u(2)", "(0<1<2;4,2,1)", 12 / 13),
+    ])
+    def test_extensions_by_nonabelian_and_higher_rank_algebras(self, name, ctype, value):
+        # A on (x1, x2) is a derivation of mu_he(3) with tr A on x3
+        def on_he(a):
+            out = np.zeros((3, 3), dtype=complex)
+            out[:2, :2] = a
+            out[2, 2] = np.trace(a)
+            return out
+
+        pauli = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+        gens = {
+            "torus": [np.diag([1.0, 1.0, 2.0]), np.diag([1.0, -1.0, 0.0])],
+            "su(2)": [on_he(1j * s) for s in pauli],
+            "u(2)": [on_he(1j * s) for s in pauli] + [on_he(np.eye(2))],
+        }[name]
+        he = mu_he(3).tensor.normalized()
+        ext = semidirect_extension(he, gens, criticality(he).c_mu)
+        assert ext.dim == 3 + len(gens)
+        reference = _semidirect_reference(he, gens, criticality(he).c_mu)
+        assert np.allclose(ext.coeff, reference, rtol=0, atol=1e-13)
+        assert jacobi_residual(ext) <= 1e-12
+        rep = criticality(ext)
+        assert rep.is_critical
+        assert str(extract_type(rep.D_mu)) == ctype
+        assert rep.F_value == pytest.approx(value, abs=1e-12)
 
     def test_complex_generator_acts_as_itself(self):
         # [B, e_p] = sum_k B[k, p] e_k, so ext.coeff[0, 1:, 1:] = B^T, with B

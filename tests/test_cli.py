@@ -266,3 +266,11 @@ def test_bad_param_token(capsys):
     code = main(["info", "--catalog", "g1", "--params", "abc"])
     err = capsys.readouterr().err
     assert code == 1 and "parameter" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "flow"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_invalid_crit_tol_is_an_input_error(capsys, command, tol):
+    # none may fall back to the default or decide criticality by a void test
+    code, _, err = run(capsys, command, "--catalog", "n3+C", "--crit-tol", tol)
+    assert code == 1 and "finite" in err

@@ -40,6 +40,14 @@ class TestFlowParams:
         with pytest.raises(ValueError):
             FlowParams(max_steps=0)
 
+    @pytest.mark.parametrize("key", ["grad_tol", "crit_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_tolerances_must_be_finite(self, key, value):
+        # a nan crit_tol fails every certificate, so a critical start would
+        # be reported not converged
+        with pytest.raises(ValueError):
+            FlowParams(**{key: value})
+
 
 def test_zero_tensor_rejected():
     with pytest.raises(ValueError):

@@ -192,8 +192,6 @@ def test_report_to_dict_keys():
     assert d["is_critical"] is True
     assert d["F"] == pytest.approx(12.0)
     assert len(d["D_eigenvalues"]) == 3
-    d = report_to_dict(rep, stratum=CriticalType((1, 2), (2, 1)))
-    assert d["type"] == {"ks": [1, 2], "ds": [2, 1]}
 
 
 class TestJsonText:

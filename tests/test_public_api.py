@@ -2,6 +2,7 @@
 dependencies stay only as large as the program itself needs."""
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -102,28 +103,56 @@ def test_waiting_exports_are_still_exported_and_unused():
     assert sorted(set(WAITING) & used) == []  # a caller arrived: drop the entry
 
 
-def test_one_rank_rule():
-    # every rank decision goes through the one function that reads
-    # NULLSPACE_TOL; no module keeps a rank or determinant test of its own
-    readers, calls = set(), []
+def _package_nodes():
+    """(node, where) for every AST node of the package; where names the
+    module and the definitions enclosing the node."""
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}"
-        if (
-            isinstance(node, ast.Name) and node.id == "NULLSPACE_TOL"
-            and isinstance(node.ctx, ast.Load)
-        ):
-            readers.add(where)
-        if isinstance(node, ast.Attribute) and node.attr in ("matrix_rank", "det"):
-            calls.append(f"{where}: {ast.unparse(node)}")
+        yield node, where
         for child in ast.iter_child_nodes(node):
-            visit(child, where)
+            yield from visit(child, where)
 
     for path in sorted((ROOT / "src" / "skewflow").glob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+        yield from visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+
+
+def _readers(name):
+    """Where the package reads a variable of this name."""
+    return {
+        where for node, where in _package_nodes()
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_one_rank_rule():
+    # every rank decision goes through the one function that reads
+    # NULLSPACE_TOL; no module keeps a rank or determinant test of its own
+    readers = _readers("NULLSPACE_TOL")
+    calls = [
+        f"{where}: {ast.unparse(node)}" for node, where in _package_nodes()
+        if isinstance(node, ast.Attribute) and node.attr in ("matrix_rank", "det")
+    ]
     assert len(readers) == 1 and "." in next(iter(readers)), readers
     assert calls == []
+
+
+def test_one_scale_rule():
+    # every residual test goes through the one function that reads
+    # _RESIDUAL_TOL, against its inputs' norms: no scale is clamped at 1,
+    # and the tests that follow the rule take no tolerance of their own
+    readers = _readers("_RESIDUAL_TOL")
+    clamps = [
+        f"{where}: {ast.unparse(node)}" for node, where in _package_nodes()
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "max"
+        and any(isinstance(a, ast.Constant) and a.value == 1 for a in node.args)
+    ]
+    assert len(readers) == 1 and "." in next(iter(readers)), readers
+    assert clamps == []
+    for func in (skewflow.semidirect_extension, skewflow.v_alpha_membership):
+        assert "tol" not in inspect.signature(func).parameters, func.__name__
 
 
 def _third_party_imports():
