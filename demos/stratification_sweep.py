@@ -13,8 +13,6 @@ The zero bracket C4 is skipped: the functional is undefined there.
 Run time is a couple of seconds; every flow certifies its limit by the
 residual test, so a FAILED row would mean a real regression.
 """
-from fractions import Fraction
-
 from skewflow import (
     DEFAULT_PARAMS,
     DIM4_FAMILY_NAMES,
@@ -31,11 +29,13 @@ print(f"{'family':<8} {'params':<12} {'steps':>6} {'limit F':>12} "
 print("-" * 64)
 
 by_value = {}
+expected = set()  # the limit values the catalog records for these families
 for name in DIM4_FAMILY_NAMES:
     entry = dim4_family(name, DEFAULT_PARAMS.get(name, ()))
     if entry.tensor.is_zero():
         print(f"{name:<8} {'':<12} {'-':>6} {'(zero bracket)':>12}")
         continue
+    expected.add(entry.expected_F)
     trace = flow(entry.tensor, params)
     assert trace.converged, f"{name} did not certify"
     f_limit = trace.limit_report.F_value
@@ -51,7 +51,5 @@ for value in sorted(by_value):
     members = ", ".join(by_value[value])
     print(f"  F = {str(value):>4}: {members}")
 
-expected = [Fraction(4, 3), Fraction(2), Fraction(3), Fraction(4),
-            Fraction(6), Fraction(12)]
-assert sorted(by_value) == expected, "stratification changed!"
+assert sorted(by_value) == sorted(expected), "stratification changed!"
 print("\nsix strata, as expected.")

@@ -6,13 +6,17 @@ diagonal-action bracket mu_hy in any dimension, rank-one extensions mu_A of
 a matrix acting on an abelian ideal, block normal forms of nilpotent
 matrices indexed by partitions, the compact cyclic form of sl2, and seeded
 random antisymmetric tensors.  Entries carry the expected limit type and
-limit value of the gradient flow where these are known.
+limit value of the gradient flow where these are known.  One table holds
+each four-dimensional family's brackets, representative parameters and
+flow limit; the verification suite reads its expected limits from here.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,84 +78,62 @@ def _entry(name, params, tensor, expected_type=None, expected_F=None, notes=""):
     )
 
 
-DIM4_FAMILY_NAMES = (
-    "C4", "n3+C", "r2+C2", "r3+C", "r3l+C", "r2+r2", "sl2+C", "n4",
-    "g1", "g2", "g3", "g4", "g5", "g6", "g7", "g8",
-)
+class _Family(NamedTuple):
+    """A four-dimensional family: the type and value of its flow limit, its
+    i<j brackets as a function of the parameters p, and its representative
+    parameters, whose count is the family's arity."""
 
-DIM4_FAMILY_ARITY = {
-    "C4": 0, "n3+C": 0, "r2+C2": 0, "r3+C": 0, "r3l+C": 1, "r2+r2": 0,
-    "sl2+C": 0, "n4": 0, "g1": 1, "g2": 2, "g3": 1, "g4": 0, "g5": 0,
-    "g6": 0, "g7": 0, "g8": 1,
+    limit: tuple
+    brackets: Callable[[tuple], dict]
+    default: tuple = ()
+
+
+# the six flow limits on L_4, by value
+_LIMIT_4_3 = (CriticalType((0, 1), (3, 1)), Fraction(4, 3))
+_LIMIT_2 = (CriticalType((0, 1), (2, 2)), Fraction(2))
+_LIMIT_3 = (CriticalType((0, 1, 2), (1, 2, 1)), Fraction(3))
+_LIMIT_4 = (CriticalType((0, 1), (1, 3)), Fraction(4))
+_LIMIT_6 = (CriticalType((1, 2, 3, 4), (1, 1, 1, 1)), Fraction(6))
+_LIMIT_12 = (CriticalType((2, 3, 4), (2, 1, 1)), Fraction(12))
+_THIRD = 1.0 / 3.0
+
+# C4 is the zero bracket, where the flow is undefined
+_DIM4 = {
+    "C4": _Family((None, None), lambda p: {}),
+    "n3+C": _Family(_LIMIT_12, lambda p: {(0, 1): {2: 1}}),
+    "r2+C2": _Family(_LIMIT_4, lambda p: {(0, 1): {0: 1}}),
+    "r3+C": _Family(_LIMIT_4, lambda p: {(0, 1): {1: 1}, (0, 2): {1: 1, 2: 1}}),
+    "r3l+C": _Family(_LIMIT_4, lambda p: {(0, 1): {1: 1}, (0, 2): {2: p[0]}}, (0.5,)),
+    "r2+r2": _Family(_LIMIT_2, lambda p: {(0, 1): {0: 1}, (2, 3): {2: 1}}),
+    "sl2+C": _Family(_LIMIT_4_3, lambda p: {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}}),
+    "n4": _Family(_LIMIT_6, lambda p: {(0, 1): {2: 1}, (0, 2): {3: 1}}),
+    "g1": _Family(_LIMIT_4, lambda p: {(0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: p[0]}}, (2.0,)),
+    "g2": _Family(
+        _LIMIT_4, lambda p: {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {1: p[0], 2: -p[1], 3: 1}},
+        (2.0, 1.0),
+    ),
+    "g3": _Family(
+        _LIMIT_4, lambda p: {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {1: p[0], 2: p[0]}}, (2.0,)
+    ),
+    "g4": _Family(_LIMIT_4, lambda p: {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {1: 1}}),
+    "g5": _Family(
+        _LIMIT_4, lambda p: {(0, 1): {1: _THIRD, 2: 1}, (0, 2): {2: _THIRD}, (0, 3): {3: _THIRD}}
+    ),
+    "g6": _Family(
+        _LIMIT_3, lambda p: {(0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 2}, (1, 2): {3: 1}}
+    ),
+    "g7": _Family(_LIMIT_3, lambda p: {(0, 1): {2: 1}, (0, 2): {1: 1}, (1, 2): {3: 1}}),
+    "g8": _Family(
+        _LIMIT_3,
+        lambda p: {(0, 1): {2: 1}, (0, 2): {1: -p[0], 2: 1}, (0, 3): {3: 1}, (1, 2): {3: 1}},
+        (2.0,),
+    ),
 }
 
+DIM4_FAMILY_NAMES = tuple(_DIM4)
+DIM4_FAMILY_ARITY = {name: len(family.default) for name, family in _DIM4.items()}
 # representative parameters used by the verification suite and `catalog list`
-DEFAULT_PARAMS = {
-    "r3l+C": (0.5,),
-    "g1": (2.0,),
-    "g2": (2.0, 1.0),
-    "g3": (2.0,),
-    "g8": (2.0,),
-}
-
-_TYPE_013 = CriticalType((0, 1), (1, 3))
-_TYPE_121 = CriticalType((0, 1, 2), (1, 2, 1))
-
-# flow limit (type, value) for each family; C4 is the zero bracket
-_DIM4_LIMITS = {
-    "n3+C": (CriticalType((2, 3, 4), (2, 1, 1)), Fraction(12)),
-    "r2+C2": (_TYPE_013, Fraction(4)),
-    "r3+C": (_TYPE_013, Fraction(4)),
-    "r3l+C": (_TYPE_013, Fraction(4)),
-    "r2+r2": (CriticalType((0, 1), (2, 2)), Fraction(2)),
-    "sl2+C": (CriticalType((0, 1), (3, 1)), Fraction(4, 3)),
-    "n4": (CriticalType((1, 2, 3, 4), (1, 1, 1, 1)), Fraction(6)),
-    "g1": (_TYPE_013, Fraction(4)),
-    "g2": (_TYPE_013, Fraction(4)),
-    "g3": (_TYPE_013, Fraction(4)),
-    "g4": (_TYPE_013, Fraction(4)),
-    "g5": (_TYPE_013, Fraction(4)),
-    "g6": (_TYPE_121, Fraction(3)),
-    "g7": (_TYPE_121, Fraction(3)),
-    "g8": (_TYPE_121, Fraction(3)),
-}
-
-
-def _dim4_brackets(name, p):
-    third = 1.0 / 3.0
-    if name == "C4":
-        return {}
-    if name == "n3+C":
-        return {(0, 1): {2: 1}}
-    if name == "r2+C2":
-        return {(0, 1): {0: 1}}
-    if name == "r3+C":
-        return {(0, 1): {1: 1}, (0, 2): {1: 1, 2: 1}}
-    if name == "r3l+C":
-        return {(0, 1): {1: 1}, (0, 2): {2: p[0]}}
-    if name == "r2+r2":
-        return {(0, 1): {0: 1}, (2, 3): {2: 1}}
-    if name == "sl2+C":
-        return {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}}
-    if name == "n4":
-        return {(0, 1): {2: 1}, (0, 2): {3: 1}}
-    if name == "g1":
-        return {(0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: p[0]}}
-    if name == "g2":
-        return {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {1: p[0], 2: -p[1], 3: 1}}
-    if name == "g3":
-        return {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {1: p[0], 2: p[0]}}
-    if name == "g4":
-        return {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {1: 1}}
-    if name == "g5":
-        return {(0, 1): {1: third, 2: 1}, (0, 2): {2: third}, (0, 3): {3: third}}
-    if name == "g6":
-        return {(0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 2}, (1, 2): {3: 1}}
-    if name == "g7":
-        return {(0, 1): {2: 1}, (0, 2): {1: 1}, (1, 2): {3: 1}}
-    if name == "g8":
-        return {(0, 1): {2: 1}, (0, 2): {1: -p[0], 2: 1}, (0, 3): {3: 1}, (1, 2): {3: 1}}
-    raise ValueError(f"unknown four-dimensional family {name!r}")
+DEFAULT_PARAMS = {name: family.default for name, family in _DIM4.items() if family.default}
 
 
 def _check_domain(name, p):
@@ -174,17 +156,15 @@ def dim4_family(name: str, params=None) -> CatalogEntry:
     <= 1 for r3l+C, nonzero alpha for g1 and g3, and for g2 either nonzero
     alpha or both parameters zero.
     """
-    if name not in DIM4_FAMILY_ARITY:
+    family = _DIM4.get(name)
+    if family is None:
         raise ValueError(f"unknown four-dimensional family {name!r}")
     p = tuple(complex(x) for x in (params if params is not None else ()))
-    if len(p) != DIM4_FAMILY_ARITY[name]:
-        raise ValueError(
-            f"{name} takes {DIM4_FAMILY_ARITY[name]} parameter(s), got {len(p)}"
-        )
+    if len(p) != len(family.default):
+        raise ValueError(f"{name} takes {len(family.default)} parameter(s), got {len(p)}")
     _check_domain(name, p)
-    tensor = StructureTensor.from_brackets(4, _dim4_brackets(name, p))
-    t, f = _DIM4_LIMITS.get(name, (None, None))
-    return _entry(name, p, tensor, expected_type=t, expected_F=f)
+    tensor = StructureTensor.from_brackets(4, family.brackets(p))
+    return _entry(name, p, tensor, *family.limit)
 
 
 def mu_he(n: int) -> CatalogEntry:
@@ -312,12 +292,18 @@ class ExcludedOrbit:
     limit_type: CriticalType
     limit_F: Fraction
 
+    @property
+    def label(self) -> str:
+        """The start as name(p, ...), parameters as fractions: g8(1/4)."""
+        ps = ", ".join(str(Fraction(p).limit_denominator(1000)) for p in self.params)
+        return f"{self.name}({ps})" if ps else self.name
+
 
 EXCLUDED_ORBITS = (
-    ExcludedOrbit("g8", (0.25,), "g6", (), _TYPE_121, Fraction(3)),
-    ExcludedOrbit("g3", (6.75,), "g1", (-2.0,), _TYPE_013, Fraction(4)),
-    ExcludedOrbit("g5", (), "g1", (1.0,), _TYPE_013, Fraction(4)),
-    ExcludedOrbit("g2", (1.0 / 27.0, 1.0 / 3.0), "g1", (1.0,), _TYPE_013, Fraction(4)),
+    ExcludedOrbit("g8", (0.25,), "g6", (), *_LIMIT_3),
+    ExcludedOrbit("g3", (6.75,), "g1", (-2.0,), *_LIMIT_4),
+    ExcludedOrbit("g5", (), "g1", (1.0,), *_LIMIT_4),
+    ExcludedOrbit("g2", (1.0 / 27.0, 1.0 / 3.0), "g1", (1.0,), *_LIMIT_4),
 )
 
 
@@ -329,23 +315,38 @@ def g2_curve_params(gamma: complex) -> tuple:
     return (gamma / (gamma + 2) ** 3, (2 * gamma + 1) / (gamma + 2) ** 2)
 
 
+# the resolve() arguments of the entries that are not dim-4 families (those take params)
+_ARGUMENTS = {
+    "mu_he": ("dim",), "mu_hy": ("dim",), "sl2_compact": (), "nilpotent": ("params",),
+    "random": ("dim", "seed"),
+}
+
+
 def resolve(name: str, params=None, dim=None, seed=None) -> CatalogEntry:
     """Look up a catalog entry by command-line style name.
 
     Four-dimensional families take --params (defaults exist for the
     parametric ones); mu_he/mu_hy take --dim (default 4); "nilpotent" reads
     a partition from params and wraps the normal form's rank-one extension;
-    "random" wraps a seeded random tensor (no expectations attached, and in
-    general not a Lie bracket).
+    "random" takes --dim (default 4) and --seed (default 0) and wraps a
+    seeded random tensor (no expectations attached, and in general not a
+    Lie bracket).  An argument the named entry does not take is a
+    ValueError.
     """
-    if name in DIM4_FAMILY_ARITY:
-        if params is None:
-            params = DEFAULT_PARAMS.get(name, ())
-        return dim4_family(name, params)
+    takes = ("params",) if name in _DIM4 else _ARGUMENTS.get(name)
+    if takes is None:
+        raise ValueError(f"unknown catalog name {name!r}")
+    given = {"params": params, "dim": dim, "seed": seed}
+    extra = [key for key, value in given.items() if value is not None and key not in takes]
+    if extra:
+        raise ValueError(f"catalog entry {name!r} does not take {' or '.join(extra)}")
+    dim = 4 if dim is None else int(dim)
+    if name in _DIM4:
+        return dim4_family(name, _DIM4[name].default if params is None else params)
     if name == "mu_he":
-        return mu_he(int(dim) if dim else 4)
+        return mu_he(dim)
     if name == "mu_hy":
-        return mu_hy(int(dim) if dim else 4)
+        return mu_hy(dim)
     if name == "sl2_compact":
         return sl2_compact()
     if name == "nilpotent":
@@ -358,13 +359,11 @@ def resolve(name: str, params=None, dim=None, seed=None) -> CatalogEntry:
             name="nilpotent", params=tuple(map(complex, partition)),
             expected_type=t, expected_F=critical_value(t),
         )
-    if name == "random":
-        tensor = random_tensor(int(dim) if dim else 4, int(seed) if seed else 0)
-        return CatalogEntry(
-            name="random", params=(), tensor=tensor,
-            notes="seeded random tensor; in general not a Lie bracket",
-        )
-    raise ValueError(f"unknown catalog name {name!r}")
+    tensor = random_tensor(dim, 0 if seed is None else int(seed))
+    return CatalogEntry(
+        name="random", params=(), tensor=tensor,
+        notes="seeded random tensor; in general not a Lie bracket",
+    )
 
 
 def all_entries() -> list:

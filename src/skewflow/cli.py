@@ -143,7 +143,7 @@ def _load_tensor(args):
     base = _sanitize(args.catalog)
     if args.params:
         base += "_" + "_".join(_sanitize(t.strip()) for t in args.params.split(","))
-    if args.dim:
+    if args.dim is not None:
         base += f"_d{args.dim}"
     return entry.tensor, base
 
@@ -171,28 +171,36 @@ def _jsonable(data):
     return data
 
 
-def _emit(data: dict, fmt: str) -> str:
-    """Render an ordered {key: value} report in the requested format.
+def _csv_cell(v) -> str:
+    if isinstance(v, (str, list, tuple)) or v is None:
+        return '"' + _value_text(v).replace('"', '""') + '"'
+    return _value_text(v)
+
+
+def _emit(data, fmt: str) -> str:
+    """Render an ordered {key: value} report, or a list of them, in the
+    requested format.
 
     CriticalType values become {"ks", "ds"} objects in JSON and the
-    (k1<...;d1,...) display form in text and CSV.
+    (k1<...;d1,...) display form in text and CSV.  A list becomes one CSV
+    table, headed by the union of its records' keys in first-seen order, or
+    text blocks separated by a blank line.
     """
     if fmt == "json":
         return json_text(_jsonable(data))
-    flat = {
-        k: str(v) if isinstance(v, CriticalType) else v for k, v in data.items()
-    }
+    records = [
+        {k: str(v) if isinstance(v, CriticalType) else v for k, v in r.items()}
+        for r in (data if isinstance(data, list) else [data])
+    ]
     if fmt == "csv":
-        head = ",".join(flat)
-        row = ",".join(
-            '"' + _value_text(v).replace('"', '""') + '"'
-            if isinstance(v, (str, list, tuple)) or v is None
-            else _value_text(v)
-            for v in flat.values()
-        )
-        return head + "\n" + row
-    width = max(len(k) for k in flat)
-    return "\n".join(f"{k:<{width}}  {_value_text(v)}" for k, v in flat.items())
+        keys = list(dict.fromkeys(k for r in records for k in r))
+        rows = [",".join(_csv_cell(r[k]) if k in r else "" for k in keys) for r in records]
+        return "\n".join([",".join(keys), *rows])
+    blocks = []
+    for r in records:
+        width = max(len(k) for k in r)
+        blocks.append("\n".join(f"{k:<{width}}  {_value_text(v)}" for k, v in r.items()))
+    return "\n\n".join(blocks)
 
 
 def _cmd_info(args) -> int:
@@ -324,11 +332,7 @@ def _cmd_flow(args) -> int:
             _write_flow_outputs(trace, item_base)
             summaries.append(_flow_summary(trace, item_base))
             all_ok &= trace.converged
-        if args.format == "json":
-            print(json_text(_jsonable(summaries)))
-        else:
-            for s in summaries:
-                print(_emit(s, args.format))
+        print(_emit(summaries, args.format))
         return 0 if all_ok else 2
 
     tensor, base = _load_tensor(args)

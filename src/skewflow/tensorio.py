@@ -67,7 +67,7 @@ def json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        parts = [json_text(val, indent) for val in obj]
+        parts = [json_text(val, indent + 2) for val in obj]
         if all(not isinstance(val, (dict, list, tuple)) for val in obj):
             return "[" + ", ".join(parts) + "]"
         inner = ",\n".join(pad + "  " + part for part in parts)

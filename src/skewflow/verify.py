@@ -16,7 +16,6 @@ Results are deterministic for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,7 +29,10 @@ from .algebra import (
     inner_product,
     semidirect_extension,
 )
-from .catalog import dim4_family, mu_A, mu_he, mu_hy, nilpotent_normal_form, random_tensor, sl2_compact
+from .catalog import (
+    DEFAULT_PARAMS, EXCLUDED_ORBITS, dim4_family, mu_A, mu_he, mu_hy, nilpotent_normal_form,
+    random_tensor, sl2_compact,
+)
 from .classify import (
     CriticalType,
     abelian_sum_type,
@@ -55,54 +57,57 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} [{self.suite}] {self.name}: {self.detail}"
 
 
-# The six four-dimensional strata: representative, parameters, limit type,
-# limit value — in increasing order of the critical value.
-_STRATA = (
-    ("sl2+C", (), "(0<1;3,1)", Fraction(4, 3)),
-    ("r2+r2", (), "(0<1;2,2)", Fraction(2)),
-    ("g6", (), "(0<1<2;1,2,1)", Fraction(3)),
-    ("r3l+C", (0.5,), "(0<1;1,3)", Fraction(4)),
-    ("n4", (), "(1<2<3<4;1,1,1,1)", Fraction(6)),
-    ("n3+C", (), "(2<3<4;2,1,1)", Fraction(12)),
-)
+# One representative of each four-dimensional stratum, in increasing order
+# of the critical value; the catalog records each one's limit.
+_STRATA = ("sl2+C", "r2+r2", "g6", "r3l+C", "n4", "n3+C")
 
 
 def _flow_strata(params):
+    """(entry, trace) for each stratum representative at its catalog parameters."""
     out = []
-    for name, ps, type_str, value in _STRATA:
-        trace = flow(dim4_family(name, ps).tensor, params)
-        out.append((name, type_str, value, trace))
+    for name in _STRATA:
+        entry = dim4_family(name, DEFAULT_PARAMS.get(name, ()))
+        out.append((entry, flow(entry.tensor, params)))
     return out
+
+
+def _limits_check(runs, head, tail=""):
+    """Compare flows with their recorded limits: (passed, detail).
+
+    runs holds (label, trace, expected type, expected value) per flow; the
+    detail is head, the largest |F - expected|, tail, and what went wrong.
+    """
+    max_df = 0.0
+    bad = []
+    for label, trace, expected_type, expected_F in runs:
+        if not trace.converged:
+            bad.append(f"{label} did not converge")
+            continue
+        max_df = max(max_df, abs(trace.limit_report.F_value - float(expected_F)))
+        if trace.stratum != expected_type:
+            bad.append(f"{label} type {trace.stratum} != {expected_type}")
+    detail = f"{head}max |F - expected| = {max_df:.2e} (tol 1e-06){tail}"
+    return not bad and max_df <= 1e-6, "; ".join([detail, *bad])
 
 
 def _check_strata(rng, params):
     runs = _flow_strata(params)
-    max_df = 0.0
-    bad = []
-    for name, type_str, value, trace in runs:
-        if not trace.converged:
-            bad.append(f"{name} did not converge")
-            continue
-        max_df = max(max_df, abs(trace.limit_report.F_value - float(value)))
-        if trace.stratum != CriticalType.parse(type_str):
-            bad.append(f"{name} type {trace.stratum} != {type_str}")
-    detail = (
-        f"six stratum representatives: max |F - expected| = {max_df:.2e} "
-        f"(tol 1e-06), expected values {{4/3, 2, 3, 4, 6, 12}}"
+    values = ", ".join(str(e.expected_F) for e, _ in runs)
+    return _limits_check(
+        [(e.name, trace, e.expected_type, e.expected_F) for e, trace in runs],
+        "six stratum representatives: ", f", expected values {{{values}}}",
     )
-    if bad:
-        detail += "; " + "; ".join(bad)
-    return not bad and max_df <= 1e-6, detail
 
 
 def _check_closed_forms(rng, params):
     dev = 0.0
     for n in range(3, 9):
-        dev = max(dev, abs(scalar_F(mu_he(n).tensor) - 12.0))
-        dev = max(dev, abs(scalar_F(mu_hy(n).tensor) - 4.0))
+        he, hy = mu_he(n), mu_hy(n)
+        dev = max(dev, abs(scalar_F(he.tensor) - float(he.expected_F)))
+        dev = max(dev, abs(scalar_F(hy.tensor) - float(hy.expected_F)))
     return dev <= 1e-10, (
-        f"scalar_F(mu_he(n)) = 12 and scalar_F(mu_hy(n)) = 4 for n = 3..8: "
-        f"max deviation {dev:.2e} (tol 1e-10)"
+        f"scalar_F(mu_he(n)) = {he.expected_F} and scalar_F(mu_hy(n)) = "
+        f"{hy.expected_F} for n = 3..8: max deviation {dev:.2e} (tol 1e-10)"
     )
 
 
@@ -142,11 +147,11 @@ def _check_normality(rng, params):
     bad_types = []
     for trial in range(50):
         n = 2 + trial % 4
-        a = _random_normal_matrix(rng, n)
-        rep = criticality(mu_A(a).tensor.normalized())
+        entry = mu_A(_random_normal_matrix(rng, n))
+        rep = criticality(entry.tensor.normalized())
         worst_normal = max(worst_normal, rep.residual)
         typ = extract_type(rep.D_mu) if rep.is_critical else None
-        if typ != CriticalType((0, 1), (1, n)):
+        if typ is None or typ != entry.expected_type:
             bad_types.append(f"trial {trial}: {typ}")
     best_nonnormal = np.inf
     for trial in range(50):
@@ -206,19 +211,19 @@ def _check_partitions(rng, params):
 
 
 def _check_minimum(rng, params):
-    base = sl2_compact().tensor
-    f0 = scalar_F(base)
-    dev = abs(f0 - 4.0 / 3.0)
+    entry = sl2_compact()
+    base, least = entry.tensor, float(entry.expected_F)
+    dev = abs(scalar_F(base) - least)
     margin = np.inf
     for _ in range(100):
         while True:
             g = _random_matrix(rng, 3)
             if np.linalg.cond(g) < 20.0:
                 break
-        margin = min(margin, scalar_F(act(g, base)) - 4.0 / 3.0)
+        margin = min(margin, scalar_F(act(g, base)) - least)
     return dev <= 1e-12 and margin >= -1e-9, (
-        f"scalar_F at the compact simple point: |F - 4/3| = {dev:.2e} "
-        f"(tol 1e-12); 100 GL(3)-images: min F - 4/3 = {margin:.2e} "
+        f"scalar_F at the compact simple point: |F - {entry.expected_F}| = {dev:.2e} "
+        f"(tol 1e-12); 100 GL(3)-images: min F - {entry.expected_F} = {margin:.2e} "
         f"(needs >= -1e-09)"
     )
 
@@ -309,7 +314,7 @@ def _check_monotonicity(rng, params):
     runs = _flow_strata(params)
     worst_rise = -np.inf
     values = []
-    for name, _, _, trace in runs:
+    for _, trace in runs:
         fs = [f for _, f, _ in trace.samples]
         rises = [b - a for a, b in zip(fs, fs[1:])]
         worst_rise = max(worst_rise, max(rises, default=0.0))
@@ -323,29 +328,17 @@ def _check_monotonicity(rng, params):
 
 
 def _check_boundary_flows(rng, params):
-    targets = (
-        ("g8", (0.25,), Fraction(3), "(0<1<2;1,2,1)"),
-        ("g5", (), Fraction(4), None),
-        ("g2", (Fraction(1, 27), Fraction(1, 3)), Fraction(4), None),
+    # g3(27/4) is not flowed here: tests/test_flow.py pins its flow, and its
+    # limit lies in the g1 orbit that g5 and the g2 crossing already reach
+    orbits = [o for o in EXCLUDED_ORBITS if o.name != "g3"]
+    targets = ", ".join(f"{o.label} -> {o.limit_F}" for o in orbits)
+    return _limits_check(
+        [
+            (o.label, flow(dim4_family(o.name, o.params).tensor, params), o.limit_type, o.limit_F)
+            for o in orbits
+        ],
+        f"flows from just outside closed strata: {targets}; ",
     )
-    bad = []
-    max_df = 0.0
-    for name, ps, value, type_str in targets:
-        trace = flow(dim4_family(name, tuple(float(x) for x in ps)).tensor, params)
-        label = f"{name}{tuple(str(x) for x in ps)}"
-        if not trace.converged:
-            bad.append(f"{label} did not converge")
-            continue
-        max_df = max(max_df, abs(trace.limit_report.F_value - float(value)))
-        if type_str and trace.stratum != CriticalType.parse(type_str):
-            bad.append(f"{label} type {trace.stratum} != {type_str}")
-    detail = (
-        f"flows from just outside closed strata: g8(1/4) -> 3, g5 -> 4, "
-        f"g2(1/27, 1/3) -> 4; max |F - expected| = {max_df:.2e} (tol 1e-06)"
-    )
-    if bad:
-        detail += "; " + "; ".join(bad)
-    return not bad and max_df <= 1e-6, detail
 
 
 def _check_semidirect(rng, params):

@@ -25,12 +25,30 @@ from skewflow import (
     structure_invariants,
 )
 from skewflow.algebra import commutator
+from skewflow.catalog import DIM4_FAMILY_ARITY
 
 
 def test_all_families_satisfy_jacobi():
     for name in DIM4_FAMILY_NAMES:
         e = dim4_family(name, DEFAULT_PARAMS.get(name, ()))
         assert jacobi_residual(e.tensor) <= 1e-12, name
+
+
+def test_family_table_is_pinned():
+    # the catalog derives these from its one table; these literals, with the
+    # flow pins, are the tests' own record of them, order included
+    assert DIM4_FAMILY_NAMES == (
+        "C4", "n3+C", "r2+C2", "r3+C", "r3l+C", "r2+r2", "sl2+C", "n4",
+        "g1", "g2", "g3", "g4", "g5", "g6", "g7", "g8",
+    )
+    assert list(DIM4_FAMILY_ARITY.items()) == [
+        ("C4", 0), ("n3+C", 0), ("r2+C2", 0), ("r3+C", 0), ("r3l+C", 1), ("r2+r2", 0),
+        ("sl2+C", 0), ("n4", 0), ("g1", 1), ("g2", 2), ("g3", 1), ("g4", 0), ("g5", 0),
+        ("g6", 0), ("g7", 0), ("g8", 1),
+    ]
+    assert list(DEFAULT_PARAMS.items()) == [
+        ("r3l+C", (0.5,)), ("g1", (2.0,)), ("g2", (2.0, 1.0)), ("g3", (2.0,)), ("g8", (2.0,)),
+    ]
 
 
 def test_family_count_and_dims():
@@ -258,6 +276,25 @@ class TestResolve:
     def test_unknown(self):
         with pytest.raises(ValueError):
             resolve("so_very_unknown")
+
+    @pytest.mark.parametrize("name", ["mu_he", "mu_hy", "random"])
+    def test_dim_zero_is_not_the_default(self, name):
+        with pytest.raises(ValueError, match="n >= "):
+            resolve(name, dim=0)
+
+    @pytest.mark.parametrize("name,given,extra", [
+        ("g6", {"dim": 7}, "dim"),
+        ("g6", {"seed": 1}, "seed"),
+        ("mu_he", {"params": (1.0,)}, "params"),
+        ("mu_he", {"seed": 3}, "seed"),
+        ("mu_hy", {"params": (1.0,)}, "params"),
+        ("sl2_compact", {"dim": 3}, "dim"),
+        ("nilpotent", {"params": (2.0,), "dim": 4}, "dim"),
+        ("random", {"params": (1.0,)}, "params"),
+    ])
+    def test_arguments_the_entry_does_not_take(self, name, given, extra):
+        with pytest.raises(ValueError, match=f"does not take {extra}$"):
+            resolve(name, **given)
 
 
 def test_listing_shape():

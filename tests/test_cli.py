@@ -1,8 +1,9 @@
+import csv
 import json
 
 import pytest
 
-from skewflow import mu_he, tensor_to_json
+from skewflow import StructureTensor, listing, mu_he, tensor_to_json
 from skewflow.cli import main
 
 
@@ -180,6 +181,35 @@ class TestFlow:
         assert (tmp_path / "batch_00_trace.csv").exists()
         assert (tmp_path / "batch_01_limit.json").exists()
 
+    def _zero_batch(self, tmp_path):
+        items = [tensor_to_json(mu_he(3).tensor), tensor_to_json(StructureTensor.zero(3))]
+        path = tmp_path / "batch.json"
+        path.write_text("[" + ",".join(items) + "]")
+        return str(path)
+
+    def test_batch_csv_is_one_table(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "flow", "--batch", "--file", self._zero_batch(tmp_path),
+                           "--format", "csv")
+        assert code == 2  # the zero tensor has no flow
+        head, flowed, failed = csv.reader(out.splitlines())
+        assert head == [
+            "F", "type", "converged", "steps", "residual", "trace_file", "limit_file",
+            "critical_value", "error",
+        ]
+        assert float(flowed[0]) == pytest.approx(12.0)
+        assert flowed[1:4] == ["(1<2;2,1)", "true", "0"]
+        assert flowed[5:] == ["batch_00_trace.csv", "batch_00_limit.json", "12", ""]
+        assert failed[:8] == ["", "", "false", "", "", "", "", ""] and "zero" in failed[8]
+
+    def test_batch_text_separates_records(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "flow", "--batch", "--file", self._zero_batch(tmp_path),
+                           "--format", "text")
+        assert code == 2
+        first, second = out.rstrip("\n").split("\n\n")
+        assert first.startswith("F ") and "batch_00_limit.json" in first
+        assert second.splitlines()[0].startswith("error ")
+        assert second.splitlines()[1].split() == ["converged", "false"]
+
     def test_batch_needs_file(self, capsys):
         code, _, err = run(capsys, "flow", "--batch", "--catalog", "g6")
         assert code == 1
@@ -200,6 +230,12 @@ class TestCatalog:
         assert {"g1", "g8", "mu_he", "sl2_compact", "nilpotent", "random"} <= names
         for r in rows:
             assert set(r) == {"name", "param_arity", "dim", "flags"}
+
+    def test_list_json_is_the_listing(self, capsys):
+        code, out, _ = run(capsys, "catalog", "list")
+        assert code == 0
+        assert json.loads(out) == listing()
+        assert out.startswith('[\n  {\n    "name": "C4",\n')
 
     def test_list_csv(self, capsys):
         code, out, _ = run(capsys, "catalog", "list", "--format", "csv")
@@ -251,6 +287,21 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["info", "--catalog", "g6", "--format", "xml"])
         assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("info", "--catalog", "mu_he", "--dim", "0"),
+    ("info", "--catalog", "random", "--dim", "0"),
+    ("flow", "--catalog", "mu_hy", "--dim", "0"),
+    ("info", "--catalog", "g6", "--dim", "7"),
+    ("flow", "--catalog", "g6", "--dim", "7"),
+    ("info", "--catalog", "mu_he", "--params", "1"),
+    ("info", "--catalog", "mu_he", "--seed", "1"),
+])
+def test_arguments_the_entry_cannot_use_are_input_errors(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "error" in err
+    assert list(tmp_path.iterdir()) == []  # flow wrote no output files
 
 
 def test_fraction_params(capsys):

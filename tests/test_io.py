@@ -209,6 +209,24 @@ class TestJsonText:
         assert back["c"] == {"nested": True, "n": None}
         assert back["d"] == obj["d"]
 
+    def test_list_items_sit_one_level_deeper(self):
+        obj = {"rows": [{"a": 1, "b": [2, 3]}, {"c": None}], "n": 0}
+        assert json_text(obj) == (
+            '{\n'
+            '  "rows": [\n'
+            '    {\n'
+            '      "a": 1,\n'
+            '      "b": [2, 3]\n'
+            '    },\n'
+            '    {\n'
+            '      "c": null\n'
+            '    }\n'
+            '  ],\n'
+            '  "n": 0\n'
+            '}'
+        )
+        assert json_text([{"a": [[1.5]]}]) == '[\n  {\n    "a": [\n      [1.5]\n    ]\n  }\n]'
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             json_text({"x": float("nan")})
