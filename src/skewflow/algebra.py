@@ -192,16 +192,19 @@ def _delta_coeff(c: np.ndarray, a: np.ndarray) -> np.ndarray:
     of delta is T1 = (A^T C1)[i, (jk)] and the last is T3 = (C3 A^T)[(ij), k].
     As c is antisymmetric, the middle term is -T1 with i and j swapped and
     T3 is antisymmetric, so delta = X - (X with i and j swapped) for
-    X = T1 - T3 / 2, which is exactly antisymmetric.  A may carry leading
-    batch axes.  T3 is halved and subtracted in place and its buffer takes
-    the result, so a batch of n^2 matrices never holds more than two arrays
-    of the result's size.
+    X = T1 - T3 / 2, which is exactly antisymmetric.  A and c may carry
+    leading batch axes, which broadcast.  T3 is halved and subtracted in
+    place and its buffer takes the result, so a batch of n^2 matrices never
+    holds more than two arrays of the result's size.
     """
-    n = c.shape[0]
+    n = c.shape[-1]
+    batch = c.shape[:-3]
     at = a.swapaxes(-1, -2)
-    shape = (*a.shape[:-2], n, n, n)
-    x = (at @ c.reshape(n, n * n)).reshape(shape)
-    t3 = (c.reshape(n * n, n) @ at).reshape(shape)
+    x = at @ c.reshape(*batch, n, n * n)
+    t3 = c.reshape(*batch, n * n, n) @ at
+    shape = (*x.shape[:-2], n, n, n)  # both products have the broadcast batch
+    x = x.reshape(shape)
+    t3 = t3.reshape(shape)
     t3 *= 0.5
     x -= t3
     return np.subtract(x, x.swapaxes(-3, -2), out=t3)
@@ -279,15 +282,25 @@ def _hermitian_from_coords(x: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=32)
+def _hermitian_units(n: int) -> np.ndarray:
+    """The orthonormal hermitian basis with _hermitian_coords the unit vectors.
+
+    E_ii, then (E_ij + E_ji) / sqrt(2) and i (E_ij - E_ji) / sqrt(2) for
+    i < j: shape (n^2, n, n), built once per n and read-only.
+    """
+    units = _hermitian_from_coords(np.eye(n * n), n)
+    units.flags.writeable = False
+    return units
+
+
 def _hermitian_delta_matrix(c: np.ndarray) -> np.ndarray:
     """Real matrix [Re; Im] of x -> delta_c(_hermitian_from_coords(x, n)).
 
-    Its columns are the delta images of the orthonormal hermitian basis:
-    E_ii, then (E_ij + E_ji) / sqrt(2) and i (E_ij - E_ji) / sqrt(2) for
-    i < j, on the rows of _delta_matrix.
+    Its columns are the delta images of _hermitian_units, on the rows of
+    _delta_matrix.
     """
-    n = c.shape[0]
-    m = _delta_matrix(c, _hermitian_from_coords(np.eye(n * n), n))
+    m = _delta_matrix(c, _hermitian_units(c.shape[0]))
     return np.concatenate([m.real, m.imag])
 
 
@@ -321,8 +334,20 @@ def _null_rows(m: np.ndarray) -> np.ndarray:
     LAPACK, the one the rest of the package uses, because a second BLAS
     library brings a second thread pool that contends with numpy's on small
     machines.
+
+    LAPACK's gesdd itself first reduces m to the triangular factor of its QR
+    decomposition once m has at least 11/6 (real) or 17/9 (complex) times
+    as many rows as columns, and then builds the left factor that nobody
+    reads from Q.  Past that crossover the QR runs here, with mode "r", so
+    the SVD is that of the square factor: the same s and vh, bit for bit,
+    without the left factor.  That equality pins LAPACK behaviour, and
+    test_null_rows_qr_reduction_is_bitwise checks it.  Below the crossover
+    gesdd works on m directly, and so does this function.
     """
     m = m[np.any(m != 0, axis=1)]
+    rows, cols = m.shape
+    if rows >= (17 * cols // 9 if np.iscomplexobj(m) else 11 * cols // 6):
+        m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     return vh[_rank(s):].conj()
 

@@ -352,7 +352,12 @@ def resolve(name: str, params=None, dim=None, seed=None) -> CatalogEntry:
     if name == "nilpotent":
         if not params:
             raise ValueError("catalog entry 'nilpotent' needs a partition in --params")
-        partition = tuple(int(round(complex(x).real)) for x in params)
+        values = tuple(map(complex, params))
+        bad = [v for v in values if v.imag != 0 or not v.real.is_integer() or v.real < 0]
+        if bad:
+            part = bad[0].real if bad[0].imag == 0 else bad[0]
+            raise ValueError(f"partition parts must be nonnegative integers, got {part}")
+        partition = tuple(int(v.real) for v in values)
         t = nilpotent_partition_type(partition)
         return replace(
             mu_A(nilpotent_normal_form(partition)),

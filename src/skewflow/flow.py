@@ -14,15 +14,24 @@ _NEWTON_GATE (1e-5).  A polish that certifies nothing lowers that gate
 above the gate still gets a polish after 512 * 4^k accepted steps, once
 its gradient is below _POLISH_GATE (1e-2).  The descent gives up when the
 energy reaches the rounding floor of its comparison, a run of accepted
-steps with no measurable decrease.  The polish works in the real
+steps with no measurable decrease.
+
+The gradient is the infinitesimal action of a hermitian matrix,
+g_tan = delta_mu(-8 R - lambda I), so each polish starts with one orbit
+round: a Newton step in the n^2 hermitian directions delta_mu(A) (64
+unknowns at n = 8), whose Hessian _orbit_hessian builds from structured
+pieces.  Where that round certifies nothing, as on the approaches to limits
+in an orbit's closure, the polish falls back to ambient rounds in the real
 coordinates of the i < j half of the antisymmetric tensors, n^2 (n-1)
-unknowns (448 at n = 8), not in all 2 n^3 real coordinates of an (n, n, n)
-array.  Its Hessian is assembled from two structured pieces, the action of
-R on the tensor slots and 32 L L^T with L the real matrix of
+unknowns (448 at n = 8).  Their Hessian (_hessian) is assembled from the
+action of R on the tensor slots and 32 L L^T, with L the real matrix of
 A -> delta_mu(A) on hermitian A, which holds because the moment map is dual
 to the infinitesimal action.  Convergence is decided by the criticality
 residual of the final point, which is what certifies membership in a
-critical set; converged limits are labeled by their extracted type.
+critical set; converged limits are labeled by their extracted type.  A
+certificate cannot pass where ||g_tan|| > 32 crit_tol ||R|| (_may_certify),
+so the flow's start and the orbit round's candidates are certified only
+below that bound.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from .algebra import (
     StructureTensor,
     _delta_coeff,
     _hermitian_delta_matrix,
+    _hermitian_units,
     _upper_pairs,
 )
 from .classify import CriticalType, TypeExtractionError, extract_type
@@ -123,11 +133,13 @@ def _to_coords(x: np.ndarray) -> np.ndarray:
 
     sqrt(2) times the real parts, then the imaginary parts, of x[i, j, k]
     for i < j (in triu order) and k: n^2 (n-1) reals, an isometry for
-    Re<., .> on the antisymmetric tensors.
+    Re<., .> on the antisymmetric tensors.  x may carry leading batch axes.
     """
-    iu, ju = _upper_pairs(x.shape[0])
-    half = x[iu, ju].ravel()
-    return np.concatenate([np.sqrt(2.0) * half.real, np.sqrt(2.0) * half.imag])
+    iu, ju = _upper_pairs(x.shape[-1])
+    half = x[..., iu, ju, :].reshape(*x.shape[:-3], -1)
+    return np.concatenate(
+        [np.sqrt(2.0) * half.real, np.sqrt(2.0) * half.imag], axis=-1
+    )
 
 
 def _from_coords(y: np.ndarray, n: int) -> np.ndarray:
@@ -178,6 +190,80 @@ def _hessian(s: _State) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
+def _orbit_hessian(s: _State) -> tuple[np.ndarray, np.ndarray]:
+    """Hessian of a -> tr(R^2) at normalize(s.mu + PL a), with the matrix PL.
+
+    L = sqrt(2) _hermitian_delta_matrix(mu) maps the isometric coordinates
+    of a hermitian A to the polish coordinates of delta_mu(A), and
+    P = I - x x^T (x the coordinates of mu) projects onto the tangent space
+    of the sphere, so the Hessian is (PL)^T H (PL) = L^T H L for
+    H = _hessian(s): n^2 square, where H is n^2 (n-1).  It is built from the
+    pieces of _hessian without forming H.  With V_b = delta_mu(A_b) -
+    (x^T L)_b mu the tensors of PL's columns and G = (PL)^T L,
+
+        -8 (PL)^T coords(delta_{V_b}(R)) + 32 G G^T - lambda (PL)^T PL,
+
+    lambda = s.radial, and the n^2 coboundaries delta_{V_b}(R) are one
+    _delta_coeff batched over the tensor.
+    """
+    mu = s.mu
+    v = _delta_coeff(mu, _hermitian_units(mu.shape[0]))  # delta_mu(A_b)
+    lmat = _to_coords(v).T
+    x = _to_coords(mu)
+    xl = x @ lmat
+    pl = lmat - np.outer(x, xl)
+    v -= xl[:, None, None, None] * mu
+    g = pl.T @ lmat
+    h = -8.0 * (pl.T @ _to_coords(_delta_coeff(v, s.r)).T) + 32.0 * (g @ g.T)
+    h -= s.radial * (pl.T @ pl)
+    return 0.5 * (h + h.T), pl
+
+
+def _may_certify(s: _State, crit_tol: float) -> bool:
+    """Whether the gradient at s leaves its certificate a chance to pass.
+
+    A certificate with residual ||E|| <= crit_tol ||R||, E = R - c I - D and
+    D a hermitian derivation, gives g_tan = -8 P delta_mu(E), as
+    delta_mu(I) = mu is radial and delta_mu(D) = 0; with
+    ||delta_mu(A)|| <= 3 ||A|| at unit mu, ||g_tan|| <= 24 crit_tol ||R||.
+    The factor 32 leaves room for the rounding of the computed derivations.
+    ||R||_F = sqrt(tr(R^2)) as R is hermitian.
+    """
+    return s.gnorm <= 32.0 * crit_tol * np.sqrt(s.f)
+
+
+def _newton_trials(s: _State, hess: np.ndarray, rhs: np.ndarray, lift):
+    """The states of one Newton round from s, lazily, in ladder order.
+
+    hess sol = rhs is solved by truncated pseudoinverses over a ladder of
+    spectral cutoffs, and lift takes a solution to a tensor step.  Cuts that
+    keep the same eigenvalues give the same step, which is tried once; a
+    step is shortened to the trust radius 0.1, as the polish is a local
+    correction; and a step that raises the energy above s.f + _F_SLACK is
+    skipped.
+    """
+    evals, q = np.linalg.eigh(hess)
+    rhs = q.T @ rhs
+    big = float(np.max(np.abs(evals))) or 1.0
+    tried = []
+    for rcond in (1e-4, 1e-5, 1e-6, 1e-8):
+        inv = np.where(np.abs(evals) > rcond * big, evals, np.inf)
+        sol = q @ (rhs / inv)
+        if any(np.array_equal(sol, prev) for prev in tried):
+            continue
+        tried.append(sol)
+        step = lift(sol)
+        norm = np.linalg.norm(step)
+        if not np.isfinite(norm) or norm == 0.0:
+            continue
+        if norm > 0.1:
+            step = step * (0.1 / norm)
+        mu_t = _normalized(s.mu + step)
+        r_t, f_t = _energy(mu_t)
+        if f_t <= s.f + _F_SLACK:
+            yield _state(mu_t, r_t, f_t)
+
+
 def _newton_polish(s: _State, report_fn, report=None):
     """Sharpen a near-stationary point by Newton steps on the gradient.
 
@@ -186,50 +272,40 @@ def _newton_polish(s: _State, report_fn, report=None):
     from the critical set; solving the linearized stationarity equation
     closes that gap.  The Hessian is rank-deficient along the unitary-orbit
     directions, and on degenerate approaches the curvature of the slow
-    directions itself decays toward zero, so each round tries truncated
-    pseudoinverses over a ladder of spectral cutoffs, skipping any that
-    raise the energy above the round's start by more than _F_SLACK.  The
-    first candidate whose criticality certificate passes ends the polish.
-    A round that certifies none moves to the candidate with the smallest
-    residual if that is below 0.9 times the current point's, and ends the
-    polish otherwise.  report is the current point's certificate, or None
-    when the caller has not computed it; report_fn(s) then runs only where
-    it is read, after a round that certifies nothing or on return.  The linear algebra runs in the
-    n^2 (n-1) polish coordinates of _to_coords, sqrt(2) (Re, Im) of the
-    entries [i, j, k] with i < j; a solution goes back to a tensor by
-    _from_coords, a scatter into the [i, j] and [j, i] halves.  _hessian
-    builds the matrix from the structured pieces without any basis of
-    tensors.  Returns the refined state and report.
+    directions itself decays toward zero, so each round tries the cut
+    ladder of _newton_trials.
+
+    The polish starts with one orbit round in the n^2 hermitian directions
+    delta_mu(A): the gradient -8 delta_mu(R) - lambda mu lies in their span,
+    so the round's gradient (PL)^T g vanishes only where g_tan does, and its
+    Hessian is _orbit_hessian's.  A candidate of this round is certified
+    only when _may_certify allows it, as report_fn(t, gated=True) returns
+    None otherwise; the first certified one ends the polish.  A round that
+    certifies nothing is dropped, and the ambient rounds run from the same
+    entry point, in the n^2 (n-1) polish coordinates of _to_coords with the
+    Hessian of _hessian.  There, every candidate is certified up to the
+    first that passes, which ends the polish.  An ambient round that
+    certifies none moves to the candidate with the smallest residual if
+    that is below 0.9 times the current point's, and ends the polish
+    otherwise.  report is the current point's certificate, or None when the
+    caller has not computed it; report_fn(s) then runs only where it is
+    read, after an ambient round that certifies nothing or on return.
+    Returns the refined state and report.
     """
     n = s.mu.shape[0]
+    if s.gnorm > 1e-13:
+        hess, pl = _orbit_hessian(s)
+        rhs = pl.T @ _to_coords(-s.g_tan)
+        for t in _newton_trials(s, hess, rhs, lambda sol: _from_coords(pl @ sol, n)):
+            rep_t = report_fn(t, gated=True)
+            if rep_t is not None and rep_t.is_critical:
+                return t, rep_t
     for _ in range(_POLISH_ROUNDS):
         if s.gnorm <= 1e-13:
             break
-        evals, q = np.linalg.eigh(_hessian(s))
-        rhs = q.T @ _to_coords(-s.g_tan)
-        big = float(np.max(np.abs(evals))) or 1.0
-
         chosen = None
-        tried = []
-        for rcond in (1e-4, 1e-5, 1e-6, 1e-8):
-            inv = np.where(np.abs(evals) > rcond * big, evals, np.inf)
-            sol = q @ (rhs / inv)
-            # cuts that keep the same eigenvalues give the same step, which
-            # cannot win the strict comparison below
-            if any(np.array_equal(sol, prev) for prev in tried):
-                continue
-            tried.append(sol)
-            step = _from_coords(sol, n)
-            norm = np.linalg.norm(step)
-            if not np.isfinite(norm) or norm == 0.0:
-                continue
-            if norm > 0.1:  # trust region: the polish is a local correction
-                step = step * (0.1 / norm)
-            mu_t = _normalized(s.mu + step)
-            r_t, f_t = _energy(mu_t)
-            if f_t > s.f + _F_SLACK:
-                continue
-            t = _state(mu_t, r_t, f_t)
+        rhs = _to_coords(-s.g_tan)
+        for t in _newton_trials(s, _hessian(s), rhs, lambda sol: _from_coords(sol, n)):
             rep_t = report_fn(t)
             if rep_t.is_critical:
                 return t, rep_t
@@ -252,13 +328,15 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
     step size underflows or the energy plateaus at its rounding floor, at
     max_steps, or when a Newton polish certifies a critical point.  The
     criticality residual is computed only where the flow can stop: at the
-    start, on polish candidates up to the first certified one, at a polish's
-    entry point only when a round certifies nothing, and once at the end,
-    where a point that is not yet certified gets a last polish.  converged
-    reflects that final residual test only.  So a loosened crit_tol does not
-    cut the descent short: the flow still runs to its first polish (once
-    the tangential gradient is below _NEWTON_GATE, or after 512 accepted
-    steps with it below _POLISH_GATE) or to one of the other stops.
+    start and on orbit-round candidates when _may_certify allows it, on
+    ambient polish candidates up to the first certified one, at a polish's
+    entry point only when an ambient round certifies nothing, and once at
+    the end, where a point that is not yet certified gets a last polish.
+    converged reflects that final residual test only.  So a loosened
+    crit_tol does not cut the descent short: the flow still runs to its
+    first polish (once the tangential gradient is below _NEWTON_GATE, or
+    after 512 accepted steps with it below _POLISH_GATE) or to one of the
+    other stops.
     """
     if params is None:
         params = FlowParams()
@@ -269,17 +347,19 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
     s = _state(mu, *_energy(mu))
     samples = [(0, s.f, s.gnorm)]
 
-    def _report(state: _State) -> CriticalReport:
+    def _report(state: _State, gated: bool = False) -> CriticalReport | None:
+        if gated and not _may_certify(state, params.crit_tol):
+            return None  # the gradient rules the certificate out
         return criticality(StructureTensor(state.mu), tol=params.crit_tol)
 
-    report = _report(s)
+    report = _report(s, gated=True)
     h = _INITIAL_STEP
     accepted = 0
     step = 0
     next_polish = _FIRST_POLISH
     newton_gate = _NEWTON_GATE
     window_f, window_n = s.f, 0
-    if not report.is_critical:
+    if report is None or not report.is_critical:
         while step < params.max_steps and s.gnorm > params.grad_tol:
             step += 1
             mu_t = _normalized(s.mu - h * s.g_tan)
@@ -313,7 +393,7 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
                 if h < _MIN_STEP:
                     break
 
-        if not report.is_critical:  # the loop did not end on a certified polish
+        if report is None or not report.is_critical:  # no certified polish
             report = _report(s)
             if not report.is_critical and s.gnorm < _POLISH_GATE:
                 s, report = _newton_polish(s, _report, report)

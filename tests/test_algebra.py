@@ -231,6 +231,22 @@ def test_delta_kernel_matches_einsum_reference(n, batch, seed):
     assert np.array_equal(got, -np.swapaxes(got, -3, -2))  # antisymmetric exactly
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_delta_kernel_batched_over_the_tensor(n):
+    # a batch of tensors against one matrix, and against a batch of matrices,
+    # gives each item's own coboundary
+    rng = np.random.default_rng(n)
+    cs = rng.standard_normal((4, n, n, n)) + 1j * rng.standard_normal((4, n, n, n))
+    cs -= cs.swapaxes(1, 2)
+    a = _rand_matrix(rng, n)
+    many = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+    got = algebra._delta_coeff(cs, a)
+    assert got.shape == (4, n, n, n)
+    assert np.array_equal(got, [algebra._delta_coeff(c, a) for c in cs])
+    pairs = algebra._delta_coeff(cs, many)
+    assert np.array_equal(pairs, [algebra._delta_coeff(c, b) for c, b in zip(cs, many)])
+
+
 def _delta_star_reference(c, lam):
     """delta*_c(lam) term by term: the adjoints of the three terms of delta."""
     cbar = np.conj(c)
@@ -392,6 +408,29 @@ class TestDerivationDims:
                 rows = algebra._null_rows(padded)
                 assert rows.shape[0] == ref.shape[1]
                 assert np.abs(rows.T @ rows.conj() - ref_proj).max() <= 1e-12
+
+    def test_null_rows_qr_reduction_is_bitwise(self):
+        # Past gesdd's own QR crossover (rows >= 11/6 columns real, 17/9
+        # complex), _null_rows takes the SVD of the triangular factor of
+        # np.linalg.qr, which LAPACK's gesdd also does internally: the kernel
+        # rows equal those of the plain SVD bit for bit.  This pins LAPACK
+        # behaviour; below the crossover both run the same call.
+        rng = np.random.default_rng(0)
+        inputs = [e.tensor for e in all_entries()]
+        inputs += [random_tensor(n, seed=0) for n in range(2, 9)]
+        for p in PARTITION_DIMS:
+            mu = mu_A(nilpotent_normal_form(p)).tensor
+            if mu.dim <= 9:
+                inputs += [mu, act(np.eye(mu.dim) + 0.3 * _rand_matrix(rng, mu.dim), mu)]
+        reduced = 0
+        for mu in inputs:
+            for system in _delta_systems(mu):
+                m = system[np.any(system != 0, axis=1)]
+                wide = m.shape[0] < m.shape[1]
+                _, s, vh = np.linalg.svd(m, full_matrices=wide)
+                assert np.array_equal(algebra._null_rows(system), vh[algebra._rank(s):].conj())
+                reduced += m.shape[0] >= 2 * m.shape[1]
+        assert reduced >= 60
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_all_zero_matrix_has_full_kernel(self, dtype):

@@ -267,6 +267,13 @@ class TestResolve:
         with pytest.raises(ValueError):
             resolve("nilpotent")
 
+    @pytest.mark.parametrize("params", [(2.7,), (1.5, 1.4), (1 + 1j,)])
+    def test_partition_parts_must_be_nonnegative_integers(self, params):
+        # none may be rounded or lose its imaginary part on the way to a
+        # partition
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            resolve("nilpotent", params=params)
+
     def test_random(self):
         e = resolve("random", dim=5, seed=7)
         assert e.dim == 5

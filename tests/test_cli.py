@@ -304,6 +304,12 @@ def test_arguments_the_entry_cannot_use_are_input_errors(capsys, tmp_path, argv)
     assert list(tmp_path.iterdir()) == []  # flow wrote no output files
 
 
+@pytest.mark.parametrize("params", ["2.7", "1.5,1.4", "1+1j"])
+def test_partition_parts_that_are_not_integers_are_input_errors(capsys, params):
+    code, out, err = run(capsys, "classify", "--catalog", "nilpotent", "--params", params)
+    assert code == 1 and out == "" and "nonnegative integers" in err
+
+
 def test_fraction_params(capsys):
     code = main(["classify", "--catalog", "g2", "--params", "1/27,1/3",
                  "--format", "json"])

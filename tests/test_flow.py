@@ -11,6 +11,7 @@ from skewflow import (
     FlowParams,
     FlowTrace,
     StructureTensor,
+    act,
     criticality,
     critical_value,
     derivation_algebra,
@@ -18,11 +19,22 @@ from skewflow import (
     flow,
     flow_batch,
     jacobi_residual,
+    mu_A,
     mu_he,
+    nilpotent_normal_form,
     random_tensor,
     resolve,
 )
-from skewflow.flow import _energy, _from_coords, _hessian, _state, _to_coords
+from skewflow.algebra import _hermitian_delta_matrix
+from skewflow.flow import (
+    _energy,
+    _from_coords,
+    _hessian,
+    _normalized,
+    _orbit_hessian,
+    _state,
+    _to_coords,
+)
 from skewflow.moment import _moment_coeff
 
 FAST = FlowParams(max_steps=50_000)
@@ -237,6 +249,60 @@ def test_polish_hessian_vanishes_in_dimension_two():
         assert np.abs(_hessian(_state(mu, *_energy(mu)))).max() <= 1e-13
 
 
+ORBIT_HESSIAN_POINTS = {
+    **{f"random n={n}": random_tensor(n, seed=40 + n) for n in range(3, 9)},
+    "g6": dim4_family("g6").tensor,  # critical: the gradient vanishes
+}
+
+
+def _unit_state(mu):
+    c = mu.normalized().coeff
+    return _state(c, *_energy(c))
+
+
+@pytest.mark.parametrize("name", list(ORBIT_HESSIAN_POINTS))
+def test_orbit_hessian_is_the_ambient_one_on_the_orbit_directions(name):
+    s = _unit_state(ORBIT_HESSIAN_POINTS[name])
+    hess, pl = _orbit_hessian(s)
+    lmat = np.sqrt(2.0) * _hermitian_delta_matrix(s.mu)
+    x = _to_coords(s.mu)
+    assert np.abs(pl - (lmat - np.outer(x, x @ lmat))).max() <= 1e-15
+    ref = lmat.T @ _hessian(s) @ lmat
+    assert np.abs(hess - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(hess, hess.T)
+
+
+@pytest.mark.parametrize("name", list(ORBIT_HESSIAN_POINTS))
+def test_orbit_hessian_matches_second_difference(name):
+    # a^T H a is the second derivative of tr(R^2) along
+    # t -> normalize(mu + t PL a), the orbit direction's tangent part
+    s = _unit_state(ORBIT_HESSIAN_POINTS[name])
+    n = s.mu.shape[0]
+    hess, pl = _orbit_hessian(s)
+    rng = np.random.default_rng(n)
+
+    def energy(t, a):
+        return _energy(_normalized(s.mu + t * _from_coords(pl @ a, n)))[1]
+
+    h = 1e-4
+    for _ in range(3):
+        a = rng.standard_normal(n * n)
+        a /= np.linalg.norm(pl @ a)
+        second = (energy(h, a) - 2.0 * energy(0.0, a) + energy(-h, a)) / h**2
+        assert a @ hess @ a == pytest.approx(second, rel=1e-6, abs=1e-7)
+
+
+@pytest.mark.parametrize("name", list(ORBIT_HESSIAN_POINTS))
+def test_gradient_lies_in_the_orbit_directions(name):
+    # g_tan = -8 delta_mu(R - c I) for real c, so the orbit round's gradient
+    # (PL)^T g vanishes only where g_tan does
+    s = _unit_state(ORBIT_HESSIAN_POINTS[name])
+    lmat = np.sqrt(2.0) * _hermitian_delta_matrix(s.mu)
+    g = _to_coords(s.g_tan)
+    coef = np.linalg.lstsq(lmat, g, rcond=None)[0]
+    assert np.linalg.norm(g - lmat @ coef) <= 1e-12 * max(s.gnorm, 1e-300)
+
+
 # (family, parameters, flow parameters): g6, g7, g5 and g2(1/27, 1/3) end on
 # the polish their small gradient triggers mid-descent, n4 is critical at the
 # start, and with grad_tol = 1e-4 the descent of g7 stops above _NEWTON_GATE,
@@ -408,8 +474,9 @@ def test_gradient_only_at_kept_points(name, monkeypatch):
 @pytest.mark.parametrize("n", range(5, 9))
 def test_random_flow_certifies_its_start_and_one_candidate(n, monkeypatch):
     # each of these polishes once, when its gradient falls below
-    # _NEWTON_GATE, and a candidate of its first round certifies: the start
-    # and that candidate
+    # _NEWTON_GATE, and a candidate of its orbit round certifies; the start
+    # is not certified, as its gradient rules a pass out, so only that
+    # candidate is
     flow_module = sys.modules["skewflow.flow"]
     calls = []
 
@@ -421,7 +488,63 @@ def test_random_flow_certifies_its_start_and_one_candidate(n, monkeypatch):
     for seed in range(3):
         calls.clear()
         assert flow(random_tensor(n, seed=seed)).converged
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+
+def _gl_images(mu, count, seed):
+    rng = np.random.default_rng(seed)
+    n = mu.dim
+    for _ in range(count):
+        g = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        yield act(g, mu)
+
+
+# the normal forms of the flow-scale benchmark at n >= 6, with blocks summing
+# to n - 1, and two GL images of each
+LARGE_IMAGES = {
+    f"nf{p} GL#{k}": image
+    for p in ((2, 1), (3, 1), (3, 2))
+    for k, image in enumerate(_gl_images(mu_A(nilpotent_normal_form(p)).tensor, 2, sum(p)))
+}
+CLOSURE_PINS = [("r3+C", ()), ("g5", ()), ("g8", (0.25,)), ("g2", (1 / 27, 1 / 3))]
+
+
+def _count_ambient_hessians(monkeypatch):
+    flow_module = sys.modules["skewflow.flow"]
+    hessian = flow_module._hessian
+    calls = []
+
+    def counting(s):
+        calls.append(s.mu.shape[0])
+        return hessian(s)
+
+    monkeypatch.setattr(flow_module, "_hessian", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(LARGE_IMAGES))
+def test_large_images_need_no_ambient_hessian(name, monkeypatch):
+    # the orbit round certifies these: no n^2 (n - 1) square matrix is formed
+    calls = _count_ambient_hessians(monkeypatch)
+    assert flow(LARGE_IMAGES[name]).converged
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_random_flows_need_no_ambient_hessian(n, monkeypatch):
+    calls = _count_ambient_hessians(monkeypatch)
+    for seed in range(3):
+        assert flow(random_tensor(n, seed=seed)).converged
+    assert calls == []
+
+
+@pytest.mark.parametrize("name, params", CLOSURE_PINS)
+def test_closure_pins_fall_back_to_the_ambient_polish(name, params, monkeypatch):
+    # the orbit round certifies nothing on these closure-limit approaches, so
+    # the ambient rounds run; the pinned outcomes of FLOW_PINS still hold
+    calls = _count_ambient_hessians(monkeypatch)
+    assert flow(dim4_family(name, params).tensor).converged
+    assert calls and set(calls) == {4}
 
 
 TRIGGER_STARTS = {**POLISH_STARTS, "g8(2)": dim4_family("g8", (2.0,)).tensor}
@@ -533,3 +656,35 @@ def test_pinned_flow_outcome(name, params):
     assert trace.limit_report.F_value == pytest.approx(value, abs=1e-9)
     # the certificate returned is the limit's own, not that of another point
     assert trace.limit_report.residual == criticality(trace.limit).residual
+
+
+GATE_STARTS = {
+    **{f"{name}{params}": dim4_family(name, params).tensor for name, params in FLOW_PINS},
+    **{f"random n={n} #{seed}": random_tensor(n, seed=seed)
+       for n in range(3, 9) for seed in range(2)},
+}
+
+
+@pytest.mark.parametrize("name", list(GATE_STARTS))
+def test_gate_admits_every_certified_point(name, monkeypatch):
+    # a certified point has ||g_tan|| <= 24 crit_tol ||R|| up to rounding, so
+    # the gate at 32 crit_tol ||R|| never skips a certificate that could
+    # pass; checked on the start and on each point the flow certifies
+    flow_module = sys.modules["skewflow.flow"]
+    certified = []
+
+    def recording(mu, **kwargs):
+        rep = criticality(mu, **kwargs)
+        if rep.is_critical:
+            certified.append(mu)
+        return rep
+
+    monkeypatch.setattr(flow_module, "criticality", recording)
+    start = GATE_STARTS[name]
+    if criticality(start).is_critical:
+        certified.append(start)
+    assert flow(start).converged
+    assert certified
+    for mu in certified:
+        s = _unit_state(mu)
+        assert s.gnorm <= 24 * FlowParams().crit_tol * np.sqrt(s.f)
