@@ -53,9 +53,6 @@ class CatalogEntry:
     tensor: StructureTensor
     expected_type: CriticalType | None = None
     expected_F: Fraction | None = None
-    is_nilpotent: bool = False
-    is_solvable: bool = False
-    is_semisimple: bool = False
     notes: str = ""
 
     @property
@@ -64,16 +61,12 @@ class CatalogEntry:
 
 
 def _entry(name, params, tensor, expected_type=None, expected_F=None, notes=""):
-    inv = structure_invariants(tensor)
     return CatalogEntry(
         name=name,
         params=tuple(complex(p) for p in params),
         tensor=tensor,
         expected_type=expected_type,
         expected_F=expected_F,
-        is_nilpotent=inv.is_nilpotent,
-        is_solvable=inv.is_solvable,
-        is_semisimple=inv.is_semisimple,
         notes=notes,
     )
 
@@ -380,14 +373,9 @@ def all_entries() -> list:
 
 
 def _flags(e: CatalogEntry) -> list:
-    flags = []
-    if e.is_nilpotent:
-        flags.append("nilpotent")
-    if e.is_solvable:
-        flags.append("solvable")
-    if e.is_semisimple:
-        flags.append("semisimple")
-    return flags
+    inv = structure_invariants(e.tensor)
+    return [name for name in ("nilpotent", "solvable", "semisimple")
+            if getattr(inv, f"is_{name}")]
 
 
 def listing() -> list:

@@ -81,7 +81,6 @@ def _build_parser() -> _Parser:
     add_input_flags(p_flow)
     add_format_flag(p_flow)
     p_flow.add_argument("--max-steps", type=int, metavar="N", help="step budget")
-    p_flow.add_argument("--grad-tol", type=float, metavar="X", help="gradient-norm stop")
     p_flow.add_argument("--crit-tol", type=float, metavar="X", help="criticality residual tolerance")
     p_flow.add_argument(
         "--batch", action="store_true",
@@ -102,7 +101,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--only", metavar="SUITE", help="run a single named suite")
     p_verify.add_argument("--seed", type=int, default=0, metavar="N", help="seed for sampled checks")
     p_verify.add_argument("--max-steps", type=int, metavar="N", help="step budget for flowing checks")
-    p_verify.add_argument("--grad-tol", type=float, metavar="X", help="gradient-norm stop")
     p_verify.add_argument("--crit-tol", type=float, metavar="X", help="criticality residual tolerance")
     return parser
 
@@ -278,7 +276,6 @@ def _flow_params(args) -> FlowParams:
         key: value
         for key, value in (
             ("max_steps", args.max_steps),
-            ("grad_tol", args.grad_tol),
             ("crit_tol", args.crit_tol),
         )
         if value is not None

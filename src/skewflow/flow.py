@@ -1,4 +1,5 @@
-"""Descent of the moment-map energy along its negative gradient on the sphere.
+"""Descent of the moment-map energy along its negative gradient on the sphere,
+handed over once to a Newton polish that certifies the limit.
 
 Explicit first-order steps with accept/reject control: a trial point is kept
 when the sphere-restricted energy tr(R^2) does not increase (up to a tiny
@@ -8,13 +9,10 @@ acceptance and halves on rejection.  A trial costs one moment map
 coboundary (_delta_coeff) for its gradient.  Near a critical point a
 Newton polish of the stationarity equation, using the exact second
 derivative, converges quadratically where the descent converges linearly,
-so the descent hands over as soon as the tangential gradient is below
-_NEWTON_GATE (1e-5).  A polish that certifies nothing lowers that gate
-100-fold and restarts the step size.  A trajectory whose gradient stalls
-above the gate still gets a polish after 512 * 4^k accepted steps, once
-its gradient is below _POLISH_GATE (1e-2).  The descent gives up when the
-energy reaches the rounding floor of its comparison, a run of accepted
-steps with no measurable decrease.
+so the descent stops as soon as the tangential gradient is below
+_NEWTON_GATE (1e-5), or after _FIRST_POLISH (512) accepted steps once it is
+below _POLISH_GATE (1e-2), and the flow polishes once.  A polish that
+certifies nothing ends the flow unconverged.
 
 The gradient is the infinitesimal action of a hermitian matrix,
 g_tan = delta_mu(-8 R - lambda I), so each polish starts with one orbit
@@ -44,7 +42,6 @@ import numpy as np
 from .algebra import (
     StructureTensor,
     _delta_coeff,
-    _hermitian_delta_matrix,
     _hermitian_units,
     _upper_pairs,
 )
@@ -62,23 +59,21 @@ _GROWTH = 1.2
 _SHRINK = 0.5
 _F_SLACK = 1e-13  # absolute; accepted-step monotonicity still holds at 1e-12
 _MIN_STEP = 1e-16
-_INITIAL_STEP = 1e-3  # step size at the start and after a failed polish
-_PLATEAU_WINDOW = 1024  # accepted steps per energy-progress window
+_INITIAL_STEP = 1e-3
 _NEWTON_GATE = 1e-5  # polish once the tangential gradient is this small
-_POLISH_GATE = 1e-2  # count-triggered polishes need a gradient this small
+_POLISH_GATE = 1e-2  # no polish with a larger gradient
 _POLISH_ROUNDS = 40
-_FIRST_POLISH = 512  # accepted-step count for the first count-triggered polish
+_FIRST_POLISH = 512  # accepted steps after which _POLISH_GATE suffices
 
 
 @dataclass(frozen=True)
 class FlowParams:
     max_steps: int = 200_000
-    grad_tol: float = 1e-9
     crit_tol: float = 1e-8
 
     def __post_init__(self):
-        if not all(0 < tol < np.inf for tol in (self.grad_tol, self.crit_tol)):
-            raise ValueError("tolerances must be positive and finite")
+        if not 0 < self.crit_tol < np.inf:
+            raise ValueError("crit_tol must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -163,11 +158,10 @@ def _hessian(s: _State) -> np.ndarray:
     hermitian A (R is a moment map) gives tr(dR[v] A) =
     -4 Re<delta_mu(A), v>, so the term is 32 L L^T with L the real matrix
     of A -> delta_mu(A) from the isometric coordinates of hermitian A to
-    polish coordinates: sqrt(2) times _hermitian_delta_matrix, whose rows
-    are [Re; Im] of delta on the i < j pairs, as polish coordinates are
-    sqrt(2) (Re, Im).  The tangent projection P = I - x x^T (x the
-    coordinates of mu) and the sphere term -lambda P, lambda = s.radial =
-    Re<mu, g_amb>, are rank-one updates.
+    polish coordinates: its columns are the polish coordinates of
+    delta_mu(A_b) over the units A_b of _hermitian_units.  The tangent
+    projection P = I - x x^T (x the coordinates of mu) and the sphere term
+    -lambda P, lambda = s.radial = Re<mu, g_amb>, are rank-one updates.
     """
     mu, r = s.mu, s.r
     n = mu.shape[0]
@@ -179,7 +173,7 @@ def _hessian(s: _State) -> np.ndarray:
     k = np.kron(wedge, eye) - np.kron(np.eye(len(iu)), r)
     h = -8.0 * np.block([[k.real, -k.imag], [k.imag, k.real]])
 
-    lmat = np.sqrt(2.0) * _hermitian_delta_matrix(mu)
+    lmat = _to_coords(_delta_coeff(mu, _hermitian_units(n))).T
     h += 32.0 * (lmat @ lmat.T)
 
     x = _to_coords(mu)
@@ -193,8 +187,8 @@ def _hessian(s: _State) -> np.ndarray:
 def _orbit_hessian(s: _State) -> tuple[np.ndarray, np.ndarray]:
     """Hessian of a -> tr(R^2) at normalize(s.mu + PL a), with the matrix PL.
 
-    L = sqrt(2) _hermitian_delta_matrix(mu) maps the isometric coordinates
-    of a hermitian A to the polish coordinates of delta_mu(A), and
+    L, the matrix of _hessian, maps the isometric coordinates of a
+    hermitian A to the polish coordinates of delta_mu(A), and
     P = I - x x^T (x the coordinates of mu) projects onto the tangent space
     of the sphere, so the Hessian is (PL)^T H (PL) = L^T H L for
     H = _hessian(s): n^2 square, where H is n^2 (n-1).  It is built from the
@@ -264,7 +258,7 @@ def _newton_trials(s: _State, hess: np.ndarray, rhs: np.ndarray, lift):
             yield _state(mu_t, r_t, f_t)
 
 
-def _newton_polish(s: _State, report_fn, report=None):
+def _newton_polish(s: _State, report_fn):
     """Sharpen a near-stationary point by Newton steps on the gradient.
 
     The descent's energy comparisons go blind once tr(R^2) reaches its
@@ -287,10 +281,9 @@ def _newton_polish(s: _State, report_fn, report=None):
     first that passes, which ends the polish.  An ambient round that
     certifies none moves to the candidate with the smallest residual if
     that is below 0.9 times the current point's, and ends the polish
-    otherwise.  report is the current point's certificate, or None when the
-    caller has not computed it; report_fn(s) then runs only where it is
-    read, after an ambient round that certifies nothing or on return.
-    Returns the refined state and report.
+    otherwise.  The current point's own certificate is computed only where
+    it is read: after an ambient round that certifies nothing, or on
+    return.  Returns the refined state and its report.
     """
     n = s.mu.shape[0]
     if s.gnorm > 1e-13:
@@ -300,6 +293,7 @@ def _newton_polish(s: _State, report_fn, report=None):
             rep_t = report_fn(t, gated=True)
             if rep_t is not None and rep_t.is_critical:
                 return t, rep_t
+    report = None
     for _ in range(_POLISH_ROUNDS):
         if s.gnorm <= 1e-13:
             break
@@ -324,19 +318,16 @@ def _newton_polish(s: _State, report_fn, report=None):
 def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
     """Integrate the negative gradient flow from mu0 (normalized internally).
 
-    Stops when the tangential gradient norm drops below grad_tol, when the
-    step size underflows or the energy plateaus at its rounding floor, at
-    max_steps, or when a Newton polish certifies a critical point.  The
-    criticality residual is computed only where the flow can stop: at the
-    start and on orbit-round candidates when _may_certify allows it, on
-    ambient polish candidates up to the first certified one, at a polish's
-    entry point only when an ambient round certifies nothing, and once at
-    the end, where a point that is not yet certified gets a last polish.
-    converged reflects that final residual test only.  So a loosened
-    crit_tol does not cut the descent short: the flow still runs to its
-    first polish (once the tangential gradient is below _NEWTON_GATE, or
-    after 512 accepted steps with it below _POLISH_GATE) or to one of the
-    other stops.
+    A start that certifies as critical is its own limit.  Otherwise the
+    descent runs until the tangential gradient is below _NEWTON_GATE, or
+    below _POLISH_GATE after _FIRST_POLISH accepted steps; it also stops at
+    max_steps and where its step size underflows.  The point it reaches
+    gets one Newton polish if its gradient is below _POLISH_GATE and one
+    certificate otherwise, and that certificate alone decides converged: a
+    polish that certifies nothing ends the flow, and the descent does not
+    resume.  Apart from the polish's candidates, only the start is
+    certified, and only where _may_certify allows it, so crit_tol moves no
+    descent step.
     """
     if params is None:
         params = FlowParams()
@@ -353,50 +344,29 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
         return criticality(StructureTensor(state.mu), tol=params.crit_tol)
 
     report = _report(s, gated=True)
-    h = _INITIAL_STEP
-    accepted = 0
-    step = 0
-    next_polish = _FIRST_POLISH
-    newton_gate = _NEWTON_GATE
-    window_f, window_n = s.f, 0
     if report is None or not report.is_critical:
-        while step < params.max_steps and s.gnorm > params.grad_tol:
-            step += 1
+        h = _INITIAL_STEP
+        for step in range(1, params.max_steps + 1):
             mu_t = _normalized(s.mu - h * s.g_tan)
             r_t, f_t = _energy(mu_t)
             if f_t <= s.f + _F_SLACK:
                 s = _state(mu_t, r_t, f_t)
                 samples.append((step, s.f, s.gnorm))
                 h *= _GROWTH
-                accepted += 1
-                window_n += 1
-                # polish once Newton can finish the descent; slowly
-                # converging trajectories also try one every 4^k * 512 steps
-                counted = accepted >= next_polish and s.gnorm < _POLISH_GATE
-                if counted or s.gnorm < newton_gate:
-                    if counted:
-                        next_polish *= 4
-                    s, report = _newton_polish(s, _report)
-                    if report.is_critical:
-                        break
-                    newton_gate *= 1e-2
-                    # near the energy's rounding floor the accept test cannot
-                    # see a step that overshoots, so h would only grow
-                    h = _INITIAL_STEP
-                    window_f, window_n = s.f, 0
-                if window_n >= _PLATEAU_WINDOW:
-                    if window_f - s.f <= _PLATEAU_WINDOW * _F_SLACK:
-                        break  # energy at its rounding floor
-                    window_f, window_n = s.f, 0
+                # Newton can finish the descent; slowly converging
+                # trajectories hand over after _FIRST_POLISH accepted steps
+                if s.gnorm < _NEWTON_GATE or (
+                    len(samples) > _FIRST_POLISH and s.gnorm < _POLISH_GATE
+                ):
+                    break
             else:
                 h *= _SHRINK
                 if h < _MIN_STEP:
                     break
-
-        if report is None or not report.is_critical:  # no certified polish
+        if s.gnorm < _POLISH_GATE:
+            s, report = _newton_polish(s, _report)
+        else:
             report = _report(s)
-            if not report.is_critical and s.gnorm < _POLISH_GATE:
-                s, report = _newton_polish(s, _report, report)
 
     trace = FlowTrace(
         samples=samples,

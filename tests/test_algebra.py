@@ -447,7 +447,7 @@ class TestDerivationDims:
             kinds.append("hermitian" if np.isrealobj(m) else "complex")
             return real_null_rows(m)
 
-        mu = dim4_family("g6").tensor  # the catalog computes flags eagerly
+        mu = dim4_family("g6").tensor
         monkeypatch.setattr(algebra, "_null_rows", counting)
         criticality(mu)
         assert kinds == ["hermitian"]

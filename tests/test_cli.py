@@ -288,6 +288,15 @@ class TestUsageErrors:
             main(["info", "--catalog", "g6", "--format", "xml"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("flow", "--catalog", "g6", "--grad-tol", "1e-9"),
+        ("verify", "--grad-tol", "1e-9"),
+    ])
+    def test_grad_tol_is_not_an_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 1
+
 
 @pytest.mark.parametrize("argv", [
     ("info", "--catalog", "mu_he", "--dim", "0"),
