@@ -16,13 +16,10 @@ residual test, so a FAILED row would mean a real regression.
 from skewflow import (
     DEFAULT_PARAMS,
     DIM4_FAMILY_NAMES,
-    FlowParams,
     critical_value,
     dim4_family,
     flow,
 )
-
-params = FlowParams(max_steps=100_000)
 
 print(f"{'family':<8} {'params':<12} {'steps':>6} {'limit F':>12} "
       f"{'exact':>6}  type")
@@ -36,7 +33,7 @@ for name in DIM4_FAMILY_NAMES:
         print(f"{name:<8} {'':<12} {'-':>6} {'(zero bracket)':>12}")
         continue
     expected.add(entry.expected_F)
-    trace = flow(entry.tensor, params)
+    trace = flow(entry.tensor)
     assert trace.converged, f"{name} did not certify"
     f_limit = trace.limit_report.F_value
     exact = critical_value(trace.stratum)

@@ -381,8 +381,9 @@ def _flags(e: CatalogEntry) -> list:
 def listing() -> list:
     """Machine-readable catalog listing: name, param_arity, dim, flags.
 
-    Variadic entries (nilpotent partitions, random tensors) report arity -1
-    and the dim of their smallest instance.
+    Variadic entries report arity -1 and a representative dim: nilpotent
+    that of its smallest instance, the partition (1), and random its
+    default, 4.
     """
     rows = [
         {"name": e.name, "param_arity": DIM4_FAMILY_ARITY.get(e.name, 0), "dim": e.dim,

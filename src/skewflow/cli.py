@@ -80,7 +80,6 @@ def _build_parser() -> _Parser:
     p_flow = sub.add_parser("flow", help="run the negative gradient flow to a critical point")
     add_input_flags(p_flow)
     add_format_flag(p_flow)
-    p_flow.add_argument("--max-steps", type=int, metavar="N", help="step budget")
     p_flow.add_argument("--crit-tol", type=float, metavar="X", help="criticality residual tolerance")
     p_flow.add_argument(
         "--batch", action="store_true",
@@ -100,7 +99,6 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--only", metavar="SUITE", help="run a single named suite")
     p_verify.add_argument("--seed", type=int, default=0, metavar="N", help="seed for sampled checks")
-    p_verify.add_argument("--max-steps", type=int, metavar="N", help="step budget for flowing checks")
     p_verify.add_argument("--crit-tol", type=float, metavar="X", help="criticality residual tolerance")
     return parser
 
@@ -143,6 +141,8 @@ def _load_tensor(args):
         base += "_" + "_".join(_sanitize(t.strip()) for t in args.params.split(","))
     if args.dim is not None:
         base += f"_d{args.dim}"
+    if args.seed is not None:
+        base += f"_s{args.seed}"
     return entry.tensor, base
 
 
@@ -272,15 +272,7 @@ def _cmd_classify(args) -> int:
 
 
 def _flow_params(args) -> FlowParams:
-    overrides = {
-        key: value
-        for key, value in (
-            ("max_steps", args.max_steps),
-            ("crit_tol", args.crit_tol),
-        )
-        if value is not None
-    }
-    return FlowParams(**overrides)
+    return FlowParams() if args.crit_tol is None else FlowParams(crit_tol=args.crit_tol)
 
 
 def _flow_summary(trace, base):

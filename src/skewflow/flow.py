@@ -59,6 +59,7 @@ _GROWTH = 1.2
 _SHRINK = 0.5
 _F_SLACK = 1e-13  # absolute; accepted-step monotonicity still holds at 1e-12
 _MIN_STEP = 1e-16
+_MAX_STEPS = 200_000  # a guard: no default flow measured went past step 642
 _INITIAL_STEP = 1e-3
 _NEWTON_GATE = 1e-5  # polish once the tangential gradient is this small
 _POLISH_GATE = 1e-2  # no polish with a larger gradient
@@ -68,14 +69,11 @@ _FIRST_POLISH = 512  # accepted steps after which _POLISH_GATE suffices
 
 @dataclass(frozen=True)
 class FlowParams:
-    max_steps: int = 200_000
     crit_tol: float = 1e-8
 
     def __post_init__(self):
         if not 0 < self.crit_tol < np.inf:
             raise ValueError("crit_tol must be positive and finite")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass
@@ -321,13 +319,13 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
     A start that certifies as critical is its own limit.  Otherwise the
     descent runs until the tangential gradient is below _NEWTON_GATE, or
     below _POLISH_GATE after _FIRST_POLISH accepted steps; it also stops at
-    max_steps and where its step size underflows.  The point it reaches
-    gets one Newton polish if its gradient is below _POLISH_GATE and one
-    certificate otherwise, and that certificate alone decides converged: a
-    polish that certifies nothing ends the flow, and the descent does not
-    resume.  Apart from the polish's candidates, only the start is
-    certified, and only where _may_certify allows it, so crit_tol moves no
-    descent step.
+    the _MAX_STEPS guard, which no measured default flow reaches, and where
+    its step size underflows.  The point it reaches gets one Newton polish
+    if its gradient is below _POLISH_GATE and one certificate otherwise,
+    and that certificate alone decides converged: a polish that certifies
+    nothing ends the flow, and the descent does not resume.  Apart from the
+    polish's candidates, only the start is certified, and only where
+    _may_certify allows it, so crit_tol moves no descent step.
     """
     if params is None:
         params = FlowParams()
@@ -346,7 +344,7 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
     report = _report(s, gated=True)
     if report is None or not report.is_critical:
         h = _INITIAL_STEP
-        for step in range(1, params.max_steps + 1):
+        for step in range(1, _MAX_STEPS + 1):
             mu_t = _normalized(s.mu - h * s.g_tan)
             r_t, f_t = _energy(mu_t)
             if f_t <= s.f + _F_SLACK:

@@ -15,6 +15,7 @@ Results are deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,17 +31,18 @@ from .algebra import (
     semidirect_extension,
 )
 from .catalog import (
-    DEFAULT_PARAMS, EXCLUDED_ORBITS, dim4_family, mu_A, mu_he, mu_hy, nilpotent_normal_form,
-    random_tensor, sl2_compact,
+    DEFAULT_PARAMS, EXCLUDED_ORBITS, all_entries, dim4_family, mu_A, mu_he, mu_hy,
+    nilpotent_normal_form, random_tensor, sl2_compact,
 )
 from .classify import (
     CriticalType,
+    TypeExtractionError,
     abelian_sum_type,
     extract_type,
     predicted_partition_ks,
 )
 from .flow import FlowParams, flow
-from .moment import criticality, moment_map, scalar_F
+from .moment import criticality, gradient, moment_map, scalar_F
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -62,13 +64,23 @@ class CheckResult:
 _STRATA = ("sl2+C", "r2+r2", "g6", "r3l+C", "n4", "n3+C")
 
 
+@functools.lru_cache(maxsize=1)
 def _flow_strata(params):
-    """(entry, trace) for each stratum representative at its catalog parameters."""
+    """(entry, trace) per stratum representative, shared within one run_suite."""
     out = []
     for name in _STRATA:
         entry = dim4_family(name, DEFAULT_PARAMS.get(name, ()))
         out.append((entry, flow(entry.tensor, params)))
     return out
+
+
+def _certified_type(tensor):
+    """Criticality report of tensor and its type: None unless certified and extractable."""
+    rep = criticality(tensor)
+    try:
+        return rep, extract_type(rep.D_mu) if rep.is_critical else None
+    except TypeExtractionError:
+        return rep, None
 
 
 def _limits_check(runs, head, tail=""):
@@ -148,9 +160,8 @@ def _check_normality(rng, params):
     for trial in range(50):
         n = 2 + trial % 4
         entry = mu_A(_random_normal_matrix(rng, n))
-        rep = criticality(entry.tensor.normalized())
+        rep, typ = _certified_type(entry.tensor.normalized())
         worst_normal = max(worst_normal, rep.residual)
-        typ = extract_type(rep.D_mu) if rep.is_critical else None
         if typ is None or typ != entry.expected_type:
             bad_types.append(f"trial {trial}: {typ}")
     best_nonnormal = np.inf
@@ -196,9 +207,8 @@ def _check_partitions(rng, params):
     parts = _partitions_upto(6)
     for p in parts:
         mu = mu_A(nilpotent_normal_form(p)).tensor.normalized()
-        rep = criticality(mu)
+        rep, typ = _certified_type(mu)
         worst = max(worst, rep.residual)
-        typ = extract_type(rep.D_mu) if rep.is_critical else None
         if typ is None or typ.ks != predicted_partition_ks(p):
             bad.append(f"{p}: ks {None if typ is None else typ.ks}")
     detail = (
@@ -229,8 +239,6 @@ def _check_minimum(rng, params):
 
 
 def _check_gradient(rng, params):
-    from .moment import gradient
-
     worst = 0.0
     h = 1e-5
     for trial in range(20):
@@ -257,8 +265,6 @@ def _check_gradient(rng, params):
 
 
 def _check_trace_identities(rng, params):
-    from .catalog import all_entries
-
     worst_tr = 0.0
     for trial in range(100):
         n = 2 + trial % 5
@@ -293,12 +299,11 @@ def _check_abelian_factor(rng, params):
     bad = []
     for base_entry, extra in ((mu_he(3), 1), (mu_hy(3), 2)):
         base = base_entry.tensor
-        rep0 = criticality(base.normalized())
-        predicted = abelian_sum_type(extract_type(rep0.D_mu), extra)
+        _, base_type = _certified_type(base.normalized())
+        predicted = None if base_type is None else abelian_sum_type(base_type, extra)
         summed = direct_sum(base, StructureTensor.zero(extra))
-        rep = criticality(summed.normalized())
-        typ = extract_type(rep.D_mu) if rep.is_critical else None
-        if typ != predicted:
+        _, typ = _certified_type(summed.normalized())
+        if typ is None or typ != predicted:
             bad.append(f"{base_entry.name}+C^{extra}: {typ} != {predicted}")
         worst_f = max(worst_f, abs(scalar_F(summed) - scalar_F(base)))
     detail = (
@@ -349,9 +354,8 @@ def _check_semidirect(rng, params):
     bad = []
     for diag in ((1, 1, 2), (1, -1, 0)):
         ext = semidirect_extension(he, [np.diag(diag).astype(complex)], c_he)
-        rep = criticality(ext.normalized())
+        rep, typ = _certified_type(ext.normalized())
         worst = max(worst, rep.residual)
-        typ = extract_type(rep.D_mu) if rep.is_critical else None
         if typ != expected:
             bad.append(f"diag{diag}: {typ}")
     detail = (
@@ -394,13 +398,17 @@ def run_suite(only: str | None = None, seed: int = 0, params: FlowParams | None 
     if params is None:
         params = FlowParams()
     results = []
-    for suite_index, (suite, checks) in enumerate(SUITES.items()):
-        if only is not None and suite != only:
-            continue
-        for index, (name, fn) in enumerate(checks):
-            # the stream is fixed per check so that --only reproduces the
-            # same numbers as a full run
-            rng = np.random.default_rng((seed, suite_index, index))
-            passed, detail = fn(rng, params)
-            results.append(CheckResult(suite, name, bool(passed), detail))
+    _flow_strata.cache_clear()
+    try:
+        for suite_index, (suite, checks) in enumerate(SUITES.items()):
+            if only is not None and suite != only:
+                continue
+            for index, (name, fn) in enumerate(checks):
+                # the stream is fixed per check so that --only reproduces the
+                # same numbers as a full run
+                rng = np.random.default_rng((seed, suite_index, index))
+                passed, detail = fn(rng, params)
+                results.append(CheckResult(suite, name, bool(passed), detail))
+    finally:
+        _flow_strata.cache_clear()
     return results

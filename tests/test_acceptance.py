@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from skewflow import verify
-from skewflow.classify import CriticalType
+from skewflow.classify import CriticalType, TypeExtractionError
 from skewflow.verify import SUITES, run_suite
 
 ALL_CHECKS = [
@@ -81,3 +81,40 @@ def test_boundary_flows_read_the_excluded_orbits(monkeypatch):
     monkeypatch.setattr(verify, "EXCLUDED_ORBITS", orbits)
     [result] = run_suite(only="excluded-orbits")
     assert not result.passed and "g5 type (0<1;1,3) != (0<1<2;1,2,1)" in result.detail
+
+
+# the checks of each suite that label a certificate by its type
+LABELING_CHECKS = {
+    "abelian-ideal": {"normality-law", "nilpotent-normal-forms"},
+    "abelian-factor": {"abelian-composition"},
+    "semidirect": {"derivation-extensions"},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(LABELING_CHECKS))
+def test_a_type_extraction_failure_fails_its_check(monkeypatch, suite):
+    # a type that cannot be extracted is a mismatch, not an abort of the run
+    def failing(d_mu):
+        raise TypeExtractionError("no rational type")
+
+    monkeypatch.setattr(verify, "extract_type", failing)
+    results = run_suite(only=suite)
+    assert {r.name for r in results if not r.passed} == LABELING_CHECKS[suite]
+
+
+@pytest.mark.parametrize("only, flows", [(None, 6 + 3), ("monotonicity", 6)])
+def test_each_run_flows_the_stratum_representatives_once(monkeypatch, only, flows):
+    # strata and monotonicity share the six flows within a run (a full run
+    # adds three boundary flows), and the next run flows them again
+    calls, real = [], verify.flow
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "flow", counted)
+    for _ in range(2):
+        calls.clear()
+        run_suite(only=only)
+        assert len(calls) == flows
+        assert verify._flow_strata.cache_info().currsize == 0

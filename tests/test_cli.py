@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from skewflow import StructureTensor, listing, mu_he, tensor_to_json
+from skewflow import (
+    StructureTensor, TypeExtractionError, listing, mu_he, tensor_to_json, verify,
+)
 from skewflow.cli import main
 
 
@@ -146,10 +148,19 @@ class TestFlow:
         assert limit["dim"] == 4
 
     def test_budget_exhaustion_exits_2(self, capsys):
-        code, out, _ = run(capsys, "flow", "--catalog", "g7", "--max-steps", "2",
-                           "--format", "json")
+        # the polish cannot certify this closure approach at crit_tol 1e-9
+        code, out, _ = run(capsys, "flow", "--catalog", "g8", "--params", "0.25",
+                           "--crit-tol", "1e-9", "--format", "json")
         assert code == 2
         assert json.loads(out)["converged"] is False
+
+    def test_each_seed_gets_its_own_outputs(self, capsys, tmp_path):
+        for seed in ("1", "2"):
+            run(capsys, "flow", "--catalog", "random", "--dim", "3", "--seed", seed)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "random_d3_s1_limit.json", "random_d3_s1_trace.csv",
+            "random_d3_s2_limit.json", "random_d3_s2_trace.csv",
+        ]
 
     def test_zero_tensor_is_input_error(self, capsys):
         code, _, err = run(capsys, "flow", "--catalog", "C4")
@@ -271,6 +282,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--only", "nonsense")
         assert code == 1
 
+    def test_type_extraction_failure_is_a_fail_line(self, capsys, monkeypatch):
+        def failing(d_mu):
+            raise TypeExtractionError("no rational type")
+
+        monkeypatch.setattr(verify, "extract_type", failing)
+        code, out, _ = run(capsys, "verify", "--only", "semidirect")
+        assert code == 3
+        assert out.startswith("FAIL [semidirect] derivation-extensions")
+        assert out.strip().splitlines()[-1] == "0/1 checks passed"
+
 
 class TestUsageErrors:
     def test_no_command(self, capsys):
@@ -293,6 +314,15 @@ class TestUsageErrors:
         ("verify", "--grad-tol", "1e-9"),
     ])
     def test_grad_tol_is_not_an_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("flow", "--catalog", "g6", "--max-steps", "2"),
+        ("verify", "--max-steps", "2"),
+    ])
+    def test_max_steps_is_not_an_option(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 1

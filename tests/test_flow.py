@@ -37,20 +37,14 @@ from skewflow.flow import (
 )
 from skewflow.moment import _moment_coeff
 
-FAST = FlowParams(max_steps=50_000)
-
-
 class TestFlowParams:
     def test_defaults(self):
         p = FlowParams()
-        assert p.max_steps == 200_000
         assert p.crit_tol == 1e-8
 
     def test_validation(self):
         with pytest.raises(ValueError):
             FlowParams(crit_tol=-1e-9)
-        with pytest.raises(ValueError):
-            FlowParams(max_steps=0)
 
     @pytest.mark.parametrize("key", ["crit_tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -76,13 +70,13 @@ def test_critical_start_converges_immediately():
 
 def test_limit_is_unit_norm():
     for name in ("g6", "r2+r2", "g4"):
-        trace = flow(dim4_family(name).tensor, FAST)
+        trace = flow(dim4_family(name).tensor)
         assert trace.converged
         assert trace.limit.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_f_decreases_along_flow():
-    trace = flow(dim4_family("g7").tensor, FAST)
+    trace = flow(dim4_family("g7").tensor)
     fs = [f for _, f, _ in trace.samples]
     diffs = np.diff(fs)
     assert np.all(diffs <= 1e-12)
@@ -90,7 +84,7 @@ def test_f_decreases_along_flow():
 
 
 def test_samples_start_at_zero_and_increase():
-    trace = flow(dim4_family("r3+C").tensor, FAST)
+    trace = flow(dim4_family("r3+C").tensor)
     steps = [s for s, _, _ in trace.samples]
     assert steps[0] == 0
     assert all(a < b for a, b in zip(steps, steps[1:]))
@@ -100,7 +94,7 @@ def test_limit_value_matches_stratum():
     # self-consistency: numeric limit value agrees with the exact value of
     # the extracted type
     for name, params in (("g6", ()), ("r3l+C", (0.5,)), ("sl2+C", ())):
-        trace = flow(dim4_family(name, params).tensor, FAST)
+        trace = flow(dim4_family(name, params).tensor)
         assert trace.converged and trace.stratum is not None
         exact = float(critical_value(trace.stratum))
         assert trace.limit_report.F_value == pytest.approx(exact, abs=1e-6)
@@ -111,30 +105,31 @@ def test_derivation_dimension_never_drops():
     for name in ("n4", "g6", "g2"):
         e = resolve(name)
         d0 = derivation_algebra(e.tensor.normalized()).dim_complex
-        trace = flow(e.tensor, FAST)
+        trace = flow(e.tensor)
         d1 = derivation_algebra(trace.limit).dim_complex
         assert d1 >= d0, name
 
 
 def test_limit_of_lie_start_is_lie():
     for name in ("g4", "g7", "r2+C2"):
-        trace = flow(dim4_family(name).tensor, FAST)
+        trace = flow(dim4_family(name).tensor)
         assert jacobi_residual(trace.limit) <= 1e-6, name
 
 
 def test_nilpotent_starts_get_positive_smallest_weight():
     # nilpotent brackets flow to strata whose smallest weight is positive
     for entry in (dim4_family("n3+C"), dim4_family("n4"), mu_he(4)):
-        trace = flow(entry.tensor, FAST)
+        trace = flow(entry.tensor)
         assert trace.converged
         assert trace.stratum.ks[0] > 0
     # solvable non-nilpotent ones keep k_1 = 0
-    trace = flow(dim4_family("r3+C").tensor, FAST)
+    trace = flow(dim4_family("r3+C").tensor)
     assert trace.stratum.ks[0] == 0
 
 
-def test_tiny_budget_reports_nonconvergence():
-    trace = flow(dim4_family("g7").tensor, FlowParams(max_steps=2))
+def test_tiny_budget_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr(sys.modules["skewflow.flow"], "_MAX_STEPS", 2)
+    trace = flow(dim4_family("g7").tensor)
     assert not trace.converged
     assert trace.stratum is None
     assert trace.limit_report is not None
@@ -143,8 +138,8 @@ def test_tiny_budget_reports_nonconvergence():
 
 
 def test_flow_is_deterministic():
-    a = flow(dim4_family("g8", (2.0,)).tensor, FAST)
-    b = flow(dim4_family("g8", (2.0,)).tensor, FAST)
+    a = flow(dim4_family("g8", (2.0,)).tensor)
+    b = flow(dim4_family("g8", (2.0,)).tensor)
     assert a.samples == b.samples
     assert a.limit == b.limit
 
@@ -159,7 +154,7 @@ def test_perturbed_starts_land_on_consistent_strata():
             base.coeff.shape
         )
         start = StructureTensor(base.coeff + 1e-3 * noise)
-        trace = flow(start, FAST)
+        trace = flow(start)
         assert trace.converged
         assert trace.stratum is not None
         exact = float(critical_value(trace.stratum))
@@ -168,7 +163,7 @@ def test_perturbed_starts_land_on_consistent_strata():
 
 def test_random_starts_converge():
     for seed in range(3):
-        trace = flow(random_tensor(3, seed=seed), FAST)
+        trace = flow(random_tensor(3, seed=seed))
         assert trace.converged
         rep = criticality(trace.limit)
         assert rep.is_critical
@@ -177,14 +172,14 @@ def test_random_starts_converge():
 class TestFlowBatch:
     def test_order_preserved(self):
         inputs = [dim4_family("g6").tensor, mu_he(4).tensor]
-        traces = flow_batch(inputs, FAST)
+        traces = flow_batch(inputs)
         assert len(traces) == 2
         assert traces[0].stratum == CriticalType((0, 1, 2), (1, 2, 1))
         assert traces[1].stratum == CriticalType((2, 3, 4), (2, 1, 1))
 
     def test_bad_item_recorded_not_raised(self):
         inputs = [StructureTensor.zero(3), dim4_family("r2+r2").tensor]
-        traces = flow_batch(inputs, FAST)
+        traces = flow_batch(inputs)
         assert traces[0].error is not None
         assert not traces[0].converged
         assert traces[1].converged
@@ -316,7 +311,7 @@ CERTIFY_STARTS = {
 
 def _certify_flow(key):
     name, params = CERTIFY_STARTS[key]
-    return flow(dim4_family(name, params).tensor, FAST)
+    return flow(dim4_family(name, params).tensor)
 
 
 @pytest.mark.parametrize("name", ["g7", "g2"])
