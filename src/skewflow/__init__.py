@@ -47,10 +47,8 @@ from .classify import (
     abelian_sum_type,
     critical_value,
     extract_type,
-    h_alpha,
     nilpotent_partition_type,
     predicted_partition_ks,
-    v_alpha_membership,
 )
 from .flow import (
     FlowParams,
@@ -107,8 +105,6 @@ __all__ = [
     "extract_type",
     "critical_value",
     "abelian_sum_type",
-    "h_alpha",
-    "v_alpha_membership",
     "predicted_partition_ks",
     "nilpotent_partition_type",
     "CatalogEntry",

@@ -14,7 +14,8 @@ product used throughout:
 over *ordered* index pairs, so each unordered pair (i, j) contributes twice.
 Two array kernels carry the infinitesimal GL(n) action: _delta_coeff for
 the coboundary delta_c(A) and _delta_star_coeff for its adjoint.  Every
-matrix of delta (_delta_matrix), the moment map and the flow's Hessian are
+matrix of delta (_delta_matrix, and L = _hermitian_delta_matrix in the real
+coordinates of _to_coords), the moment map and the flow's Hessian are
 built from them.  _act_coeff carries the group action itself.
 """
 
@@ -294,14 +295,29 @@ def _hermitian_units(n: int) -> np.ndarray:
     return units
 
 
-def _hermitian_delta_matrix(c: np.ndarray) -> np.ndarray:
-    """Real matrix [Re; Im] of x -> delta_c(_hermitian_from_coords(x, n)).
+def _to_coords(x: np.ndarray) -> np.ndarray:
+    """Real coordinates of antisymmetric (n, n, n) tensors x.
 
-    Its columns are the delta images of _hermitian_units, on the rows of
-    _delta_matrix.
+    sqrt(2) times the real parts, then the imaginary parts, of x[i, j, k]
+    for i < j (in triu order) and k: n^2 (n-1) reals, an isometry for
+    Re<., .> on the antisymmetric tensors.  x may carry leading batch axes.
     """
-    m = _delta_matrix(c, _hermitian_units(c.shape[0]))
-    return np.concatenate([m.real, m.imag])
+    iu, ju = _upper_pairs(x.shape[-1])
+    half = x[..., iu, ju, :].reshape(*x.shape[:-3], -1)
+    out = np.concatenate([half.real, half.imag], axis=-1)
+    out *= np.sqrt(2.0)
+    return out
+
+
+def _hermitian_delta_matrix(c: np.ndarray) -> np.ndarray:
+    """Real matrix L of x -> _to_coords(delta_c(_hermitian_from_coords(x, n))).
+
+    Its columns are the coordinates of the delta images of _hermitian_units,
+    so L maps isometric coordinates to isometric coordinates.  The one L of
+    the package: DerivationBasis takes its kernel and the flow's Hessian
+    its products.
+    """
+    return _to_coords(_delta_coeff(c, _hermitian_units(c.shape[0]))).T
 
 
 def _rank(s: np.ndarray, floor: float = 0.0) -> int:
@@ -465,12 +481,12 @@ def structure_invariants(mu: StructureTensor) -> StructureInvariants:
     )
 
 
-def direct_sum(mu: StructureTensor, lam: StructureTensor, c: float = 1.0) -> StructureTensor:
-    """Block tensor on C^{n+m}: mu on the first block, c*lam on the second."""
+def direct_sum(mu: StructureTensor, lam: StructureTensor) -> StructureTensor:
+    """Block tensor on C^{n+m}: mu on the first block, lam on the second."""
     n, m = mu.dim, lam.dim
     out = np.zeros((n + m, n + m, n + m), dtype=complex)
     out[:n, :n, :n] = mu.coeff
-    out[n:, n:, n:] = c * lam.coeff
+    out[n:, n:, n:] = lam.coeff
     return StructureTensor(out)
 
 

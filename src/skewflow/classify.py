@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import StructureTensor, _negligible, _null_rows, delta, hermitian_part
+from .algebra import _null_rows, hermitian_part
 
 __all__ = [
     "CriticalType",
@@ -32,8 +32,6 @@ __all__ = [
     "extract_type",
     "critical_value",
     "abelian_sum_type",
-    "h_alpha",
-    "v_alpha_membership",
     "predicted_partition_ks",
     "nilpotent_partition_type",
 ]
@@ -207,33 +205,6 @@ def abelian_sum_type(t: CriticalType, m: int) -> CriticalType:
     nonzero = [k for k in ks if k]
     red = math.gcd(*nonzero) if nonzero else 1
     return CriticalType(tuple(k // red for k in ks), tuple(ds))
-
-
-def h_alpha(t: CriticalType) -> np.ndarray:
-    """Diagonal stratum-indexing matrix: eigenvalue k_i - (sum k^2 d)/(sum kd).
-
-    The all-zero type yields the zero matrix.
-    """
-    skd = sum(k * d for k, d in zip(t.ks, t.ds))
-    sk2d = sum(k * k * d for k, d in zip(t.ks, t.ds))
-    if skd == 0:
-        return np.zeros((t.n, t.n), dtype=complex)
-    shift = sk2d / skd
-    return np.diag(t.weights() - shift).astype(complex)
-
-
-def v_alpha_membership(mu: StructureTensor, t: CriticalType) -> bool:
-    """Whether diag(k_1 I_{d_1}, ..., k_r I_{d_r}) is a derivation of mu.
-
-    True exactly when mu is graded by the eigenspaces with weights k_i, in
-    the basis ordering fixed by t.  ||delta_mu(D_alpha)|| is tested against
-    ||D_alpha|| ||mu|| by the package's one scale rule.
-    """
-    if t.n != mu.dim:
-        raise ValueError("type dimension does not match the tensor")
-    d_alpha = np.diag(t.weights()).astype(complex)
-    defect = delta(mu, d_alpha).norm()
-    return bool(_negligible(defect, np.linalg.norm(d_alpha), mu.norm()))
 
 
 def predicted_partition_ks(partition) -> tuple:

@@ -128,11 +128,19 @@ def _sanitize(token: str) -> str:
     return re.sub(r"[^A-Za-z0-9._+-]+", "-", token)
 
 
+def _reject_catalog_flags(args) -> None:
+    """A --file input takes none of the flags that select a catalog instance."""
+    given = [f"--{k}" for k in ("params", "dim", "seed") if getattr(args, k) is not None]
+    if given:
+        raise ValueError(f"--file takes no {', '.join(given)}")
+
+
 def _load_tensor(args):
     """Resolve --file/--catalog to (tensor, output base name)."""
     if (args.file is None) == (args.catalog is None):
         raise ValueError("exactly one of --file or --catalog is required")
     if args.file is not None:
+        _reject_catalog_flags(args)
         return tensor_read(args.file), _sanitize(Path(args.file).stem)
     params = _parse_params(args.params)
     entry = resolve(args.catalog, params, dim=args.dim, seed=args.seed)
@@ -303,6 +311,7 @@ def _cmd_flow(args) -> int:
     if args.batch:
         if args.file is None:
             raise ValueError("--batch requires --file with a JSON array of tensors")
+        _reject_catalog_flags(args)
         with open(args.file) as fh:
             raw = json.load(fh)
         if not isinstance(raw, list):

@@ -17,19 +17,21 @@ certifies nothing ends the flow unconverged.
 The gradient is the infinitesimal action of a hermitian matrix,
 g_tan = delta_mu(-8 R - lambda I), so each polish starts with one orbit
 round: a Newton step in the n^2 hermitian directions delta_mu(A) (64
-unknowns at n = 8), whose Hessian _orbit_hessian builds from structured
-pieces.  Where that round certifies nothing, as on the approaches to limits
-in an orbit's closure, the polish falls back to ambient rounds in the real
-coordinates of the i < j half of the antisymmetric tensors, n^2 (n-1)
-unknowns (448 at n = 8).  Their Hessian (_hessian) is assembled from the
-action of R on the tensor slots and 32 L L^T, with L the real matrix of
-A -> delta_mu(A) on hermitian A, which holds because the moment map is dual
-to the infinitesimal action.  Convergence is decided by the criticality
-residual of the final point, which is what certifies membership in a
-critical set; converged limits are labeled by their extracted type.  A
-certificate cannot pass where ||g_tan|| > 32 crit_tol ||R|| (_may_certify),
-so the flow's start and the orbit round's candidates are certified only
-below that bound.
+unknowns at n = 8).  Where that round certifies nothing, as on the
+approaches to limits in an orbit's closure, the polish falls back to
+ambient rounds in all n^2 (n-1) tangent directions of the sphere (448 at
+n = 8), in the real coordinates _to_coords of the i < j half of the
+antisymmetric tensors.  Both rounds restrict the one Hessian (_hessian) to
+the span of their directions b, as b^T H b.  It is built from the
+coboundaries delta_v(R) along the directions and 32 L L^T, with L the real
+matrix of A -> delta_mu(A) on hermitian A (algebra._hermitian_delta_matrix),
+which holds because the moment map is dual to the infinitesimal action.
+
+Convergence is decided by the criticality residual of the final point,
+which is what certifies membership in a critical set; converged limits are
+labeled by their extracted type.  A certificate cannot pass where
+||g_tan|| > 32 crit_tol ||R|| (_may_certify), so the flow's start and the
+orbit round's candidates are certified only below that bound.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ import numpy as np
 from .algebra import (
     StructureTensor,
     _delta_coeff,
-    _hermitian_units,
+    _hermitian_delta_matrix,
+    _to_coords,
     _upper_pairs,
 )
 from .classify import CriticalType, TypeExtractionError, extract_type
@@ -121,94 +124,40 @@ def _normalized(c: np.ndarray) -> np.ndarray:
     return c / np.linalg.norm(c)
 
 
-def _to_coords(x: np.ndarray) -> np.ndarray:
-    """Polish coordinates of an antisymmetric (n, n, n) tensor x.
-
-    sqrt(2) times the real parts, then the imaginary parts, of x[i, j, k]
-    for i < j (in triu order) and k: n^2 (n-1) reals, an isometry for
-    Re<., .> on the antisymmetric tensors.  x may carry leading batch axes.
-    """
-    iu, ju = _upper_pairs(x.shape[-1])
-    half = x[..., iu, ju, :].reshape(*x.shape[:-3], -1)
-    return np.concatenate(
-        [np.sqrt(2.0) * half.real, np.sqrt(2.0) * half.imag], axis=-1
-    )
-
-
 def _from_coords(y: np.ndarray, n: int) -> np.ndarray:
-    """The antisymmetric (n, n, n) tensor with polish coordinates y."""
+    """The antisymmetric (n, n, n) tensors with _to_coords y, along the last axis."""
     iu, ju = _upper_pairs(n)
-    m = len(y) // 2
-    half = (np.sqrt(0.5) * (y[:m] + 1j * y[m:])).reshape(len(iu), n)
-    x = np.zeros((n, n, n), dtype=complex)
-    x[iu, ju] = half
-    x[ju, iu] = -half
+    m = y.shape[-1] // 2
+    half = np.sqrt(0.5) * (y[..., :m] + 1j * y[..., m:])
+    half = half.reshape(*y.shape[:-1], len(iu), n)
+    x = np.zeros((*y.shape[:-1], n, n, n), dtype=complex)
+    x[..., iu, ju, :] = half
+    x[..., ju, iu, :] = -half
     return x
 
 
-def _hessian(s: _State) -> np.ndarray:
-    """Sphere Hessian of tr(R^2) at unit s.mu, in polish coordinates.
+def _hessian(s: _State, b: np.ndarray, lmat: np.ndarray) -> np.ndarray:
+    """Hessian of a -> tr(R^2) at normalize(s.mu + _from_coords(b a)).
 
-    Along an antisymmetric v the ambient second derivative is
-    -8 (delta_v(R) + delta_mu(dR[v])).  The first term is the linear map
-    Lambda^2(R^T) (x) I - I (x) R of v[i < j, k], taken to real
-    coordinates.  For the second, tr(R A) = -2 Re<delta_mu(A), mu> for
-    hermitian A (R is a moment map) gives tr(dR[v] A) =
-    -4 Re<delta_mu(A), v>, so the term is 32 L L^T with L the real matrix
-    of A -> delta_mu(A) from the isometric coordinates of hermitian A to
-    polish coordinates: its columns are the polish coordinates of
-    delta_mu(A_b) over the units A_b of _hermitian_units.  The tangent
-    projection P = I - x x^T (x the coordinates of mu) and the sphere term
-    -lambda P, lambda = s.radial = Re<mu, g_amb>, are rank-one updates.
+    b holds tangent directions at unit s.mu as columns of _to_coords
+    coordinates, and lmat is L = _hermitian_delta_matrix(s.mu).  Along a
+    tangent v the ambient second derivative is -8 (delta_v(R) +
+    delta_mu(dR[v])), and the sphere adds -lambda |v|^2, lambda = s.radial.
+    As tr(R A) = -2 Re<delta_mu(A), mu> for hermitian A (R is a moment
+    map), tr(dR[v] A) = -4 Re<delta_mu(A), v>, so the second term is
+    32 L L^T.  With V_c = _from_coords(b[:, c]) the Hessian is the
+    restriction b^T H b of the sphere Hessian H,
+
+        -8 b^T coords(delta_{V_c}(R)) + 32 (b^T L)(b^T L)^T - lambda b^T b,
+
+    and the coboundaries delta_{V_c}(R) are one _delta_coeff batched over
+    the tensor.
     """
-    mu, r = s.mu, s.r
-    n = mu.shape[0]
-    iu, ju = _upper_pairs(n)
-    eye = np.eye(n)
-    ij, ji = iu * n + ju, ju * n + iu
-    pair = np.kron(r.T, eye) + np.kron(eye, r.T)  # R^T on both slots
-    wedge = pair[np.ix_(ij, ij)] - pair[np.ix_(ij, ji)]  # on the i < j pairs
-    k = np.kron(wedge, eye) - np.kron(np.eye(len(iu)), r)
-    h = -8.0 * np.block([[k.real, -k.imag], [k.imag, k.real]])
-
-    lmat = _to_coords(_delta_coeff(mu, _hermitian_units(n))).T
-    h += 32.0 * (lmat @ lmat.T)
-
-    x = _to_coords(mu)
-    u = h @ x
-    h -= np.outer(x, u) + np.outer(u, x)
-    h += (x @ u + s.radial) * np.outer(x, x)
-    h[np.diag_indices_from(h)] -= s.radial
+    v = _from_coords(b.T, s.mu.shape[0])
+    g = b.T @ lmat
+    h = -8.0 * (b.T @ _to_coords(_delta_coeff(v, s.r)).T) + 32.0 * (g @ g.T)
+    h -= s.radial * (b.T @ b)
     return 0.5 * (h + h.T)
-
-
-def _orbit_hessian(s: _State) -> tuple[np.ndarray, np.ndarray]:
-    """Hessian of a -> tr(R^2) at normalize(s.mu + PL a), with the matrix PL.
-
-    L, the matrix of _hessian, maps the isometric coordinates of a
-    hermitian A to the polish coordinates of delta_mu(A), and
-    P = I - x x^T (x the coordinates of mu) projects onto the tangent space
-    of the sphere, so the Hessian is (PL)^T H (PL) = L^T H L for
-    H = _hessian(s): n^2 square, where H is n^2 (n-1).  It is built from the
-    pieces of _hessian without forming H.  With V_b = delta_mu(A_b) -
-    (x^T L)_b mu the tensors of PL's columns and G = (PL)^T L,
-
-        -8 (PL)^T coords(delta_{V_b}(R)) + 32 G G^T - lambda (PL)^T PL,
-
-    lambda = s.radial, and the n^2 coboundaries delta_{V_b}(R) are one
-    _delta_coeff batched over the tensor.
-    """
-    mu = s.mu
-    v = _delta_coeff(mu, _hermitian_units(mu.shape[0]))  # delta_mu(A_b)
-    lmat = _to_coords(v).T
-    x = _to_coords(mu)
-    xl = x @ lmat
-    pl = lmat - np.outer(x, xl)
-    v -= xl[:, None, None, None] * mu
-    g = pl.T @ lmat
-    h = -8.0 * (pl.T @ _to_coords(_delta_coeff(v, s.r)).T) + 32.0 * (g @ g.T)
-    h -= s.radial * (pl.T @ pl)
-    return 0.5 * (h + h.T), pl
 
 
 def _may_certify(s: _State, crit_tol: float) -> bool:
@@ -224,18 +173,19 @@ def _may_certify(s: _State, crit_tol: float) -> bool:
     return s.gnorm <= 32.0 * crit_tol * np.sqrt(s.f)
 
 
-def _newton_trials(s: _State, hess: np.ndarray, rhs: np.ndarray, lift):
-    """The states of one Newton round from s, lazily, in ladder order.
+def _newton_trials(s: _State, b: np.ndarray, lmat: np.ndarray):
+    """The states of one Newton round from s in the span of b, lazily, in
+    ladder order.
 
-    hess sol = rhs is solved by truncated pseudoinverses over a ladder of
-    spectral cutoffs, and lift takes a solution to a tensor step.  Cuts that
-    keep the same eigenvalues give the same step, which is tried once; a
-    step is shortened to the trust radius 0.1, as the polish is a local
-    correction; and a step that raises the energy above s.f + _F_SLACK is
-    skipped.
+    The Newton equation _hessian(s, b, lmat) sol = b^T coords(-g_tan) is
+    solved by truncated pseudoinverses over a ladder of spectral cutoffs,
+    and the step is _from_coords(b sol).  Cuts that keep the same
+    eigenvalues give the same step, which is tried once; a step is
+    shortened to the trust radius 0.1, as the polish is a local correction;
+    and a step that raises the energy above s.f + _F_SLACK is skipped.
     """
-    evals, q = np.linalg.eigh(hess)
-    rhs = q.T @ rhs
+    evals, q = np.linalg.eigh(_hessian(s, b, lmat))
+    rhs = q.T @ (b.T @ _to_coords(-s.g_tan))
     big = float(np.max(np.abs(evals))) or 1.0
     tried = []
     for rcond in (1e-4, 1e-5, 1e-6, 1e-8):
@@ -244,7 +194,7 @@ def _newton_trials(s: _State, hess: np.ndarray, rhs: np.ndarray, lift):
         if any(np.array_equal(sol, prev) for prev in tried):
             continue
         tried.append(sol)
-        step = lift(sol)
+        step = _from_coords(b @ sol, s.mu.shape[0])
         norm = np.linalg.norm(step)
         if not np.isfinite(norm) or norm == 0.0:
             continue
@@ -267,27 +217,32 @@ def _newton_polish(s: _State, report_fn):
     directions itself decays toward zero, so each round tries the cut
     ladder of _newton_trials.
 
-    The polish starts with one orbit round in the n^2 hermitian directions
-    delta_mu(A): the gradient -8 delta_mu(R) - lambda mu lies in their span,
-    so the round's gradient (PL)^T g vanishes only where g_tan does, and its
-    Hessian is _orbit_hessian's.  A candidate of this round is certified
-    only when _may_certify allows it, as report_fn(t, gated=True) returns
-    None otherwise; the first certified one ends the polish.  A round that
-    certifies nothing is dropped, and the ambient rounds run from the same
-    entry point, in the n^2 (n-1) polish coordinates of _to_coords with the
-    Hessian of _hessian.  There, every candidate is certified up to the
-    first that passes, which ends the polish.  An ambient round that
-    certifies none moves to the candidate with the smallest residual if
-    that is below 0.9 times the current point's, and ends the polish
-    otherwise.  The current point's own certificate is computed only where
-    it is read: after an ambient round that certifies nothing, or on
-    return.  Returns the refined state and its report.
+    Both rounds are _newton_trials with the one _hessian; they differ only
+    in the basis b of their directions and in which candidates they
+    certify.  With x = _to_coords(mu), L = _hermitian_delta_matrix(mu) and
+    P = I - x x^T the tangent projection of the sphere:
+
+    - The orbit round comes first, with b = PL: the n^2 hermitian
+      directions delta_mu(A).  The gradient -8 delta_mu(R) - lambda mu lies
+      in their span, so the round's gradient (PL)^T g vanishes only where
+      g_tan does.  A candidate is certified only when _may_certify allows
+      it, as report_fn(t, gated=True) returns None otherwise; the first
+      certified one ends the polish.  A round that certifies nothing is
+      dropped.
+    - The ambient rounds run from the same entry point, with b = P: all
+      n^2 (n-1) tangent directions.  Every candidate is certified up to the
+      first that passes, which ends the polish.  A round that certifies
+      none moves to the candidate with the smallest residual if that is
+      below 0.9 times the current point's, and ends the polish otherwise.
+
+    The current point's own certificate is computed only where it is read:
+    after an ambient round that certifies nothing, or on return.  Returns
+    the refined state and its report.
     """
-    n = s.mu.shape[0]
     if s.gnorm > 1e-13:
-        hess, pl = _orbit_hessian(s)
-        rhs = pl.T @ _to_coords(-s.g_tan)
-        for t in _newton_trials(s, hess, rhs, lambda sol: _from_coords(pl @ sol, n)):
+        lmat = _hermitian_delta_matrix(s.mu)
+        x = _to_coords(s.mu)
+        for t in _newton_trials(s, lmat - np.outer(x, x @ lmat), lmat):
             rep_t = report_fn(t, gated=True)
             if rep_t is not None and rep_t.is_critical:
                 return t, rep_t
@@ -296,8 +251,9 @@ def _newton_polish(s: _State, report_fn):
         if s.gnorm <= 1e-13:
             break
         chosen = None
-        rhs = _to_coords(-s.g_tan)
-        for t in _newton_trials(s, _hessian(s), rhs, lambda sol: _from_coords(sol, n)):
+        x = _to_coords(s.mu)
+        p = np.eye(len(x)) - np.outer(x, x)
+        for t in _newton_trials(s, p, _hermitian_delta_matrix(s.mu)):
             rep_t = report_fn(t)
             if rep_t.is_critical:
                 return t, rep_t

@@ -34,7 +34,6 @@ from .algebra import (
     _hermitian_coords,
     delta,
     derivation_algebra,
-    hermitian_part,
 )
 
 __all__ = [
@@ -106,7 +105,7 @@ def criticality(mu: StructureTensor, tol: float = 1e-8) -> CriticalReport:
     tr = float(np.trace(r).real)
     tr2 = float(np.vdot(r, r).real)
     c_mu = tr2 / tr
-    d_mu = hermitian_part(r - c_mu * np.eye(nu.dim))
+    d_mu = r - c_mu * np.eye(nu.dim)  # exactly hermitian, as R is
 
     ders = derivation_algebra(nu).hermitian_basis
     eye = np.eye(nu.dim, dtype=complex)[None]

@@ -180,7 +180,8 @@ def test_hermitian_system_is_delta_on_the_orthonormal_basis(n):
     for k, e in enumerate(np.eye(n * n)):
         h = algebra._hermitian_from_coords(e, n)
         expected = delta(mu, h).coeff[iu, ju].ravel()
-        column = got[:rows, k] + 1j * got[rows:, k]
+        # the isometric coordinates carry each i < j entry scaled by sqrt(2)
+        column = (got[:rows, k] + 1j * got[rows:, k]) / np.sqrt(2.0)
         assert np.allclose(column, expected, rtol=0, atol=1e-13)
 
 

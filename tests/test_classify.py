@@ -12,11 +12,8 @@ from skewflow import (
     critical_value,
     dim4_family,
     extract_type,
-    h_alpha,
-    mu_he,
     nilpotent_partition_type,
     predicted_partition_ks,
-    v_alpha_membership,
 )
 from skewflow.verify import _partitions_upto
 
@@ -171,38 +168,6 @@ class TestAbelianSum:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             abelian_sum_type(CriticalType((0,), (3,)), 0)
-
-
-class TestHAlpha:
-    def test_zero_type(self):
-        assert np.array_equal(h_alpha(CriticalType((0,), (4,))), np.zeros((4, 4)))
-
-    def test_heisenberg_type(self):
-        # shift = 6/4 = 3/2; weights (1,1,2) -> diag(-1/2, -1/2, 1/2)
-        h = h_alpha(CriticalType((1, 2), (2, 1)))
-        assert np.allclose(np.diag(h).real, [-0.5, -0.5, 0.5])
-        assert np.allclose(h, np.diag(np.diag(h)))
-
-    def test_trace_formula(self):
-        # tr h_alpha = sum kd - n * (sum k^2 d / sum kd)
-        t = CriticalType((2, 3, 4), (2, 1, 1))
-        expected = 11.0 - 4.0 * 33.0 / 11.0
-        assert np.trace(h_alpha(t)).real == pytest.approx(expected)
-
-
-class TestVAlphaMembership:
-    def test_heisenberg_graded(self):
-        he = mu_he(3).tensor
-        assert v_alpha_membership(he, CriticalType((1, 2), (2, 1)))
-
-    def test_wrong_grading(self):
-        he = mu_he(3).tensor
-        # weights (0, 0, 1): [x1, x2] = x3 forces 0 + 0 = 1, fails
-        assert not v_alpha_membership(he, CriticalType((0, 1), (2, 1)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            v_alpha_membership(mu_he(3).tensor, CriticalType((0,), (4,)))
 
 
 class TestPartitionRules:

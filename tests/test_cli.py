@@ -343,6 +343,27 @@ def test_arguments_the_entry_cannot_use_are_input_errors(capsys, tmp_path, argv)
     assert list(tmp_path.iterdir()) == []  # flow wrote no output files
 
 
+@pytest.mark.parametrize("command", ["classify", "flow"])
+@pytest.mark.parametrize(
+    "flag", [("--params", "1,2"), ("--dim", "9"), ("--seed", "3")], ids=["params", "dim", "seed"]
+)
+def test_a_file_input_takes_no_catalog_flags(capsys, tmp_path, command, flag):
+    # the flags select a catalog instance; a file input would ignore them
+    path = tmp_path / "he.json"
+    path.write_text(tensor_to_json(mu_he(3).tensor))
+    code, out, err = run(capsys, command, "--file", str(path), *flag)
+    assert code == 1 and out == "" and flag[0] in err
+    assert list(tmp_path.iterdir()) == [path]  # flow wrote no output files
+
+
+def test_a_batch_file_takes_no_catalog_flags(capsys, tmp_path):
+    path = tmp_path / "batch.json"
+    path.write_text("[" + tensor_to_json(mu_he(3).tensor) + "]")
+    code, out, err = run(capsys, "flow", "--batch", "--file", str(path), "--seed", "3")
+    assert code == 1 and out == "" and "--seed" in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("params", ["2.7", "1.5,1.4", "1+1j"])
 def test_partition_parts_that_are_not_integers_are_input_errors(capsys, params):
     code, out, err = run(capsys, "classify", "--catalog", "nilpotent", "--params", params)

@@ -25,16 +25,8 @@ from skewflow import (
     random_tensor,
     resolve,
 )
-from skewflow.algebra import _hermitian_delta_matrix
-from skewflow.flow import (
-    _energy,
-    _from_coords,
-    _hessian,
-    _normalized,
-    _orbit_hessian,
-    _state,
-    _to_coords,
-)
+from skewflow.algebra import _hermitian_delta_matrix, _to_coords, _upper_pairs
+from skewflow.flow import _energy, _from_coords, _hessian, _normalized, _state
 from skewflow.moment import _moment_coeff
 
 class TestFlowParams:
@@ -212,6 +204,46 @@ def test_polish_coordinates_are_an_isometry(n):
     assert np.all(np.abs(back - x) <= 4e-16 * np.abs(x))
     y = rng.standard_normal(n * n * (n - 1))
     assert np.all(np.abs(_to_coords(_from_coords(y, n)) - y) <= 4e-16 * np.abs(y))
+    # both directions work along leading batch axes, entry by entry
+    assert np.array_equal(_from_coords(np.stack([cx, y]), n), [back, _from_coords(y, n)])
+    assert np.array_equal(_to_coords(np.stack([x, w])), [cx, cw])
+
+
+def _kron_hessian(s):
+    """Reference sphere Hessian of tr(R^2) at unit s.mu, in all n^2 (n-1)
+    coordinates of _to_coords, assembled entry by entry.
+
+    The first term of the ambient second derivative -8 (delta_v(R) +
+    delta_mu(dR[v])) is the linear map Lambda^2(R^T) (x) I - I (x) R of
+    v[i < j, k], written out with Kronecker products and taken to real
+    coordinates; the second is 32 L L^T.  The tangent projection
+    P = I - x x^T and the sphere term -lambda P are rank-one updates.
+    """
+    mu, r = s.mu, s.r
+    n = mu.shape[0]
+    iu, ju = _upper_pairs(n)
+    eye = np.eye(n)
+    ij, ji = iu * n + ju, ju * n + iu
+    pair = np.kron(r.T, eye) + np.kron(eye, r.T)  # R^T on both slots
+    wedge = pair[np.ix_(ij, ij)] - pair[np.ix_(ij, ji)]  # on the i < j pairs
+    k = np.kron(wedge, eye) - np.kron(np.eye(len(iu)), r)
+    h = -8.0 * np.block([[k.real, -k.imag], [k.imag, k.real]])
+    lmat = _hermitian_delta_matrix(mu)
+    h += 32.0 * (lmat @ lmat.T)
+    x = _to_coords(mu)
+    u = h @ x
+    h -= np.outer(x, u) + np.outer(u, x)
+    h += (x @ u + s.radial) * np.outer(x, x)
+    h[np.diag_indices_from(h)] -= s.radial
+    return 0.5 * (h + h.T)
+
+
+def _bases(s):
+    """L, and the direction bases P and PL of the ambient and orbit rounds."""
+    lmat = _hermitian_delta_matrix(s.mu)
+    x = _to_coords(s.mu)
+    p = np.eye(len(x)) - np.outer(x, x)
+    return lmat, p, lmat - np.outer(x, x @ lmat)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
@@ -220,7 +252,9 @@ def test_polish_hessian_matches_second_difference(n):
     # cos(t) mu + sin(t) v through mu in the unit tangent direction v
     rng = np.random.default_rng(40 + n)
     mu = random_tensor(n, seed=40 + n).normalized().coeff
-    hess = _hessian(_state(mu, *_energy(mu)))
+    s = _state(mu, *_energy(mu))
+    lmat, p, _ = _bases(s)
+    hess = _hessian(s, p, lmat)
 
     def energy(t, v):
         r = _moment_coeff(np.cos(t) * mu + np.sin(t) * v)
@@ -241,7 +275,10 @@ def test_polish_hessian_vanishes_in_dimension_two():
     # constant on the sphere and a second difference is only rounding
     for seed in range(3):
         mu = random_tensor(2, seed=seed).normalized().coeff
-        assert np.abs(_hessian(_state(mu, *_energy(mu)))).max() <= 1e-13
+        s = _state(mu, *_energy(mu))
+        lmat, p, pl = _bases(s)
+        for b in (p, pl):
+            assert np.abs(_hessian(s, b, lmat)).max() <= 1e-13
 
 
 ORBIT_HESSIAN_POINTS = {
@@ -256,13 +293,20 @@ def _unit_state(mu):
 
 
 @pytest.mark.parametrize("name", list(ORBIT_HESSIAN_POINTS))
+def test_ambient_hessian_is_the_kron_reference(name):
+    s = _unit_state(ORBIT_HESSIAN_POINTS[name])
+    lmat, p, _ = _bases(s)
+    hess, ref = _hessian(s, p, lmat), _kron_hessian(s)
+    assert np.abs(hess - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(hess, hess.T)
+
+
+@pytest.mark.parametrize("name", list(ORBIT_HESSIAN_POINTS))
 def test_orbit_hessian_is_the_ambient_one_on_the_orbit_directions(name):
     s = _unit_state(ORBIT_HESSIAN_POINTS[name])
-    hess, pl = _orbit_hessian(s)
-    lmat = np.sqrt(2.0) * _hermitian_delta_matrix(s.mu)
-    x = _to_coords(s.mu)
-    assert np.abs(pl - (lmat - np.outer(x, x @ lmat))).max() <= 1e-15
-    ref = lmat.T @ _hessian(s) @ lmat
+    lmat, _, pl = _bases(s)
+    hess = _hessian(s, pl, lmat)
+    ref = pl.T @ _kron_hessian(s) @ pl
     assert np.abs(hess - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(hess, hess.T)
 
@@ -273,7 +317,8 @@ def test_orbit_hessian_matches_second_difference(name):
     # t -> normalize(mu + t PL a), the orbit direction's tangent part
     s = _unit_state(ORBIT_HESSIAN_POINTS[name])
     n = s.mu.shape[0]
-    hess, pl = _orbit_hessian(s)
+    lmat, _, pl = _bases(s)
+    hess = _hessian(s, pl, lmat)
     rng = np.random.default_rng(n)
 
     def energy(t, a):
@@ -292,7 +337,7 @@ def test_gradient_lies_in_the_orbit_directions(name):
     # g_tan = -8 delta_mu(R - c I) for real c, so the orbit round's gradient
     # (PL)^T g vanishes only where g_tan does
     s = _unit_state(ORBIT_HESSIAN_POINTS[name])
-    lmat = np.sqrt(2.0) * _hermitian_delta_matrix(s.mu)
+    lmat = _hermitian_delta_matrix(s.mu)
     g = _to_coords(s.g_tan)
     coef = np.linalg.lstsq(lmat, g, rcond=None)[0]
     assert np.linalg.norm(g - lmat @ coef) <= 1e-12 * max(s.gnorm, 1e-300)
@@ -501,13 +546,16 @@ CLOSURE_PINS = [("r3+C", ()), ("g5", ()), ("g8", (0.25,)), ("g2", (1 / 27, 1 / 3
 
 
 def _count_ambient_hessians(monkeypatch):
+    # the Hessians of the ambient rounds: those in all n^2 (n - 1) directions
     flow_module = sys.modules["skewflow.flow"]
     hessian = flow_module._hessian
     calls = []
 
-    def counting(s):
-        calls.append(s.mu.shape[0])
-        return hessian(s)
+    def counting(s, b, lmat):
+        n = s.mu.shape[0]
+        if b.shape[1] == n * n * (n - 1):
+            calls.append(n)
+        return hessian(s, b, lmat)
 
     monkeypatch.setattr(flow_module, "_hessian", counting)
     return calls

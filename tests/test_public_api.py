@@ -16,14 +16,6 @@ import skewflow
 ROOT = Path(__file__).resolve().parents[1]
 USERS = ("src", "demos", "perfbench")
 
-# Exported names with no caller yet, each waiting for the ROADMAP item that
-# gives it one (or deletes it).
-WAITING = {
-    "h_alpha": "item 2: kernel of the retraction to the orbit closure",
-    "v_alpha_membership": "item 2: kernel of the retraction to the orbit closure",
-}
-
-
 def _references(tree):
     """Names a module uses, leaving out each definition's own body.
 
@@ -92,15 +84,9 @@ def test_every_export_has_a_caller_outside_tests():
     used = _used_names()
     unused = [
         f"{module}.{name}" for module, name in _definitions()
-        if name not in used and name not in WAITING
+        if name not in used
     ]
     assert unused == [], f"defined but used only by tests: {unused}"
-
-
-def test_waiting_exports_are_still_exported_and_unused():
-    used = _used_names()
-    assert set(WAITING) <= set(skewflow.__all__)
-    assert sorted(set(WAITING) & used) == []  # a caller arrived: drop the entry
 
 
 def _package_nodes():
@@ -138,6 +124,22 @@ def test_one_rank_rule():
     assert calls == []
 
 
+def test_one_hessian():
+    # the flow has one second derivative, restricted to each round's basis:
+    # one builder, and no Kronecker assembly anywhere in the package
+    krons = [
+        f"{where}: {ast.unparse(node)}" for node, where in _package_nodes()
+        if isinstance(node, ast.Call) and "kron" in ast.unparse(node.func)
+    ]
+    builders = [
+        node.name for node, where in _package_nodes()
+        if where.startswith("flow.") and isinstance(node, ast.FunctionDef)
+        and "hessian" in node.name
+    ]
+    assert krons == []
+    assert builders == ["_hessian"]
+
+
 def test_one_scale_rule():
     # every residual test goes through the one function that reads
     # _RESIDUAL_TOL, against its inputs' norms: no scale is clamped at 1,
@@ -151,8 +153,7 @@ def test_one_scale_rule():
     ]
     assert len(readers) == 1 and "." in next(iter(readers)), readers
     assert clamps == []
-    for func in (skewflow.semidirect_extension, skewflow.v_alpha_membership):
-        assert "tol" not in inspect.signature(func).parameters, func.__name__
+    assert "tol" not in inspect.signature(skewflow.semidirect_extension).parameters
 
 
 def test_verify_states_no_known_answer():
