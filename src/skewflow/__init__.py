@@ -51,7 +51,6 @@ from .classify import (
     predicted_partition_ks,
 )
 from .flow import (
-    FlowParams,
     FlowTrace,
     flow,
     flow_batch,
@@ -96,7 +95,6 @@ __all__ = [
     "gradient",
     "CriticalReport",
     "criticality",
-    "FlowParams",
     "FlowTrace",
     "flow",
     "flow_batch",

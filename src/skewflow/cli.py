@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import StructureTensor, derivation_algebra, jacobi_residual, structure_invariants
 from .catalog import listing, resolve
 from .classify import CriticalType, TypeExtractionError, critical_value, extract_type
-from .flow import FlowParams, flow, flow_batch
+from .flow import flow, flow_batch
 from .moment import criticality, moment_map, scalar_F
 from .tensorio import (
     fraction_str,
@@ -52,8 +52,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="skewflow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input_flags(p):
-        p.add_argument("--file", metavar="PATH", help="tensor JSON file")
+    def add_input_flags(p, file=True):
+        if file:
+            p.add_argument("--file", metavar="PATH", help="tensor JSON file")
         p.add_argument("--catalog", metavar="NAME", help="catalog entry name")
         p.add_argument(
             "--params",
@@ -80,7 +81,6 @@ def _build_parser() -> _Parser:
     p_flow = sub.add_parser("flow", help="run the negative gradient flow to a critical point")
     add_input_flags(p_flow)
     add_format_flag(p_flow)
-    p_flow.add_argument("--crit-tol", type=float, metavar="X", help="criticality residual tolerance")
     p_flow.add_argument(
         "--batch", action="store_true",
         help="treat --file as a JSON array of tensors and flow each one",
@@ -89,17 +89,15 @@ def _build_parser() -> _Parser:
     p_classify = sub.add_parser("classify", help="criticality certificate and type of the input")
     add_input_flags(p_classify)
     add_format_flag(p_classify)
-    p_classify.add_argument("--crit-tol", type=float, metavar="X", help="criticality residual tolerance")
 
     p_catalog = sub.add_parser("catalog", help="list catalog entries or export one as JSON")
     p_catalog.add_argument("action", choices=("list", "export"))
-    add_input_flags(p_catalog)
+    add_input_flags(p_catalog, file=False)
     add_format_flag(p_catalog, default="json")
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--only", metavar="SUITE", help="run a single named suite")
     p_verify.add_argument("--seed", type=int, default=0, metavar="N", help="seed for sampled checks")
-    p_verify.add_argument("--crit-tol", type=float, metavar="X", help="criticality residual tolerance")
     return parser
 
 
@@ -128,11 +126,12 @@ def _sanitize(token: str) -> str:
     return re.sub(r"[^A-Za-z0-9._+-]+", "-", token)
 
 
-def _reject_catalog_flags(args) -> None:
-    """A --file input takes none of the flags that select a catalog instance."""
-    given = [f"--{k}" for k in ("params", "dim", "seed") if getattr(args, k) is not None]
+def _reject_catalog_flags(args, taker="--file") -> None:
+    """A --file input, or catalog list (taker), takes none of the flags that
+    select a catalog entry."""
+    given = [f"--{k}" for k in ("catalog", "params", "dim", "seed") if getattr(args, k) is not None]
     if given:
-        raise ValueError(f"--file takes no {', '.join(given)}")
+        raise ValueError(f"{taker} takes no {', '.join(given)}")
 
 
 def _load_tensor(args):
@@ -243,10 +242,8 @@ def _cmd_moment(args) -> int:
     return 0
 
 
-def _classification(tensor, crit_tol):
-    rep = criticality(
-        tensor.normalized(), **({"tol": crit_tol} if crit_tol is not None else {})
-    )
+def _classification(tensor):
+    rep = criticality(tensor)
     stratum = None
     note = None
     if rep.is_critical:
@@ -271,16 +268,12 @@ def _cmd_classify(args) -> int:
     tensor, _ = _load_tensor(args)
     if tensor.is_zero():
         raise ValueError("the zero tensor has no classification")
-    rep, stratum, note = _classification(tensor, args.crit_tol)
+    rep, stratum, note = _classification(tensor)
     data = _report_data(rep, stratum)
     if note:
         data["note"] = note
     print(_emit(data, args.format))
     return 0
-
-
-def _flow_params(args) -> FlowParams:
-    return FlowParams() if args.crit_tol is None else FlowParams(crit_tol=args.crit_tol)
 
 
 def _flow_summary(trace, base):
@@ -307,7 +300,6 @@ def _write_flow_outputs(trace, base) -> None:
 
 
 def _cmd_flow(args) -> int:
-    params = _flow_params(args)
     if args.batch:
         if args.file is None:
             raise ValueError("--batch requires --file with a JSON array of tensors")
@@ -318,7 +310,7 @@ def _cmd_flow(args) -> int:
             raise ValueError("--batch file must contain a JSON array")
         tensors = [tensor_from_json(json.dumps(item)) for item in raw]
         base = _sanitize(Path(args.file).stem)
-        traces = flow_batch(tensors, params)
+        traces = flow_batch(tensors)
         summaries = []
         all_ok = True
         for idx, trace in enumerate(traces):
@@ -334,7 +326,7 @@ def _cmd_flow(args) -> int:
         return 0 if all_ok else 2
 
     tensor, base = _load_tensor(args)
-    trace = flow(tensor, params)
+    trace = flow(tensor)
     _write_flow_outputs(trace, base)
     print(_emit(_flow_summary(trace, base), args.format))
     return 0 if trace.converged else 2
@@ -342,6 +334,7 @@ def _cmd_flow(args) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.action == "list":
+        _reject_catalog_flags(args, "catalog list")
         rows = listing()
         if args.format == "json":
             print(json_text(rows))
@@ -363,7 +356,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suite(only=args.only, seed=args.seed, params=_flow_params(args))
+    results = run_suite(only=args.only, seed=args.seed)
     for result in results:
         print(result.line)
     failed = [r for r in results if not r.passed]

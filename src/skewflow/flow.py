@@ -30,8 +30,9 @@ which holds because the moment map is dual to the infinitesimal action.
 Convergence is decided by the criticality residual of the final point,
 which is what certifies membership in a critical set; converged limits are
 labeled by their extracted type.  A certificate cannot pass where
-||g_tan|| > 32 crit_tol ||R|| (_may_certify), so the flow's start and the
-orbit round's candidates are certified only below that bound.
+||g_tan|| is not negligible against 32 ||R|| by the package's one scale
+rule (_may_certify), so the flow's start and the orbit round's candidates
+are certified only below that bound.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .algebra import (
     StructureTensor,
     _delta_coeff,
     _hermitian_delta_matrix,
+    _negligible,
     _to_coords,
     _upper_pairs,
 )
@@ -52,7 +54,6 @@ from .classify import CriticalType, TypeExtractionError, extract_type
 from .moment import CriticalReport, _moment_coeff, criticality
 
 __all__ = [
-    "FlowParams",
     "FlowTrace",
     "flow",
     "flow_batch",
@@ -68,15 +69,6 @@ _NEWTON_GATE = 1e-5  # polish once the tangential gradient is this small
 _POLISH_GATE = 1e-2  # no polish with a larger gradient
 _POLISH_ROUNDS = 40
 _FIRST_POLISH = 512  # accepted steps after which _POLISH_GATE suffices
-
-
-@dataclass(frozen=True)
-class FlowParams:
-    crit_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not 0 < self.crit_tol < np.inf:
-            raise ValueError("crit_tol must be positive and finite")
 
 
 @dataclass
@@ -160,17 +152,18 @@ def _hessian(s: _State, b: np.ndarray, lmat: np.ndarray) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
-def _may_certify(s: _State, crit_tol: float) -> bool:
+def _may_certify(s: _State) -> bool:
     """Whether the gradient at s leaves its certificate a chance to pass.
 
-    A certificate with residual ||E|| <= crit_tol ||R||, E = R - c I - D and
-    D a hermitian derivation, gives g_tan = -8 P delta_mu(E), as
-    delta_mu(I) = mu is radial and delta_mu(D) = 0; with
-    ||delta_mu(A)|| <= 3 ||A|| at unit mu, ||g_tan|| <= 24 crit_tol ||R||.
-    The factor 32 leaves room for the rounding of the computed derivations.
+    A certificate passes when its residual ||E||, E = R - c I - D and D a
+    hermitian derivation, is negligible against ||R|| (moment.criticality),
+    and gives g_tan = -8 P delta_mu(E), as delta_mu(I) = mu is radial and
+    delta_mu(D) = 0; with ||delta_mu(A)|| <= 3 ||A|| at unit mu, ||g_tan||
+    is then negligible against 24 ||R||.  The factor 32 leaves room for the
+    rounding of the computed derivations, and scaling by it is exact.
     ||R||_F = sqrt(tr(R^2)) as R is hermitian.
     """
-    return s.gnorm <= 32.0 * crit_tol * np.sqrt(s.f)
+    return _negligible(s.gnorm, 32.0 * np.sqrt(s.f), 1.0)
 
 
 def _newton_trials(s: _State, b: np.ndarray, lmat: np.ndarray):
@@ -269,7 +262,7 @@ def _newton_polish(s: _State, report_fn):
     return s, report
 
 
-def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
+def flow(mu0: StructureTensor) -> FlowTrace:
     """Integrate the negative gradient flow from mu0 (normalized internally).
 
     A start that certifies as critical is its own limit.  Otherwise the
@@ -281,10 +274,8 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
     and that certificate alone decides converged: a polish that certifies
     nothing ends the flow, and the descent does not resume.  Apart from the
     polish's candidates, only the start is certified, and only where
-    _may_certify allows it, so crit_tol moves no descent step.
+    _may_certify allows it.
     """
-    if params is None:
-        params = FlowParams()
     if mu0.is_zero():
         raise ValueError("cannot flow the zero tensor")
 
@@ -293,9 +284,9 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
     samples = [(0, s.f, s.gnorm)]
 
     def _report(state: _State, gated: bool = False) -> CriticalReport | None:
-        if gated and not _may_certify(state, params.crit_tol):
+        if gated and not _may_certify(state):
             return None  # the gradient rules the certificate out
-        return criticality(StructureTensor(state.mu), tol=params.crit_tol)
+        return criticality(StructureTensor(state.mu))
 
     report = _report(s, gated=True)
     if report is None or not report.is_critical:
@@ -336,7 +327,7 @@ def flow(mu0: StructureTensor, params: FlowParams | None = None) -> FlowTrace:
     return trace
 
 
-def flow_batch(inputs, params: FlowParams | None = None) -> list:
+def flow_batch(inputs) -> list:
     """Run flow on each input independently; order matches the input order.
 
     Per-item failures (for example a zero tensor) are recorded in the
@@ -345,7 +336,7 @@ def flow_batch(inputs, params: FlowParams | None = None) -> list:
     out = []
     for mu0 in inputs:
         try:
-            out.append(flow(mu0, params))
+            out.append(flow(mu0))
         except (ValueError, np.linalg.LinAlgError) as exc:
             out.append(FlowTrace(limit=mu0, error=str(exc)))
     return out

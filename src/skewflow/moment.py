@@ -32,6 +32,7 @@ from .algebra import (
     StructureTensor,
     _delta_star_coeff,
     _hermitian_coords,
+    _negligible,
     delta,
     derivation_algebra,
 )
@@ -90,14 +91,14 @@ class CriticalReport:
         return np.linalg.eigvalsh(self.D_mu)
 
 
-def criticality(mu: StructureTensor, tol: float = 1e-8) -> CriticalReport:
+def criticality(mu: StructureTensor) -> CriticalReport:
     """Project R onto span_R{I} + hermitian derivations; report the remainder.
 
     The input is normalized internally, so residual and F_value refer to the
-    unit-sphere representative.  tol must be positive and finite.
+    unit-sphere representative.  The point is critical when the residual is
+    negligible against ||R|| by the package's one scale rule
+    (algebra._negligible).
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     if mu.is_zero():
         raise ValueError("criticality is undefined at the zero tensor")
     nu = mu.normalized()
@@ -120,5 +121,5 @@ def criticality(mu: StructureTensor, tol: float = 1e-8) -> CriticalReport:
         D_mu=d_mu,
         residual=residual,
         F_value=tr2,
-        is_critical=bool(residual <= tol * rnorm),
+        is_critical=bool(_negligible(residual, rnorm, 1.0)),
     )

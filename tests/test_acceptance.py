@@ -118,3 +118,11 @@ def test_each_run_flows_the_stratum_representatives_once(monkeypatch, only, flow
         run_suite(only=only)
         assert len(calls) == flows
         assert verify._flow_strata.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("seed", [535, 2008])
+def test_gradient_check_has_no_truncation_error(seed):
+    # central differences miss the 1e-6 tolerance on these seeds, by O(h^2)
+    # truncation along directions nearly orthogonal to the gradient
+    [result] = run_suite(only="gradient", seed=seed)
+    assert result.passed, result.line

@@ -8,7 +8,6 @@ from skewflow import (
     DIM4_FAMILY_NAMES,
     EXCLUDED_ORBITS,
     CriticalType,
-    FlowParams,
     FlowTrace,
     StructureTensor,
     act,
@@ -28,24 +27,6 @@ from skewflow import (
 from skewflow.algebra import _hermitian_delta_matrix, _to_coords, _upper_pairs
 from skewflow.flow import _energy, _from_coords, _hessian, _normalized, _state
 from skewflow.moment import _moment_coeff
-
-class TestFlowParams:
-    def test_defaults(self):
-        p = FlowParams()
-        assert p.crit_tol == 1e-8
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FlowParams(crit_tol=-1e-9)
-
-    @pytest.mark.parametrize("key", ["crit_tol"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_tolerances_must_be_finite(self, key, value):
-        # a nan crit_tol fails every certificate, so a critical start would
-        # be reported not converged
-        with pytest.raises(ValueError):
-            FlowParams(**{key: value})
-
 
 def test_zero_tensor_rejected():
     with pytest.raises(ValueError):
@@ -439,8 +420,8 @@ def test_certifying_round_stops_at_first_certified_candidate(name, monkeypatch):
     polish = flow_module._newton_polish
     polishes, active = [], []
 
-    def recording(mu, **kwargs):
-        rep = criticality(mu, **kwargs)
+    def recording(mu):
+        rep = criticality(mu)
         if active:
             active[-1].append(rep.is_critical)
         return rep
@@ -639,11 +620,12 @@ def test_a_polish_that_certifies_nothing_ends_the_flow(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name, params", [("g8", (0.25,)), ("r3+C", ()), ("g5", ())])
-def test_closure_approaches_at_a_tight_crit_tol_end_unconverged(name, params):
+def test_closure_approaches_at_a_tight_crit_tol_end_unconverged(name, params, monkeypatch):
     # the polish cannot certify these approaches to their closure limits at
-    # crit_tol = 1e-9; the flow reports that, with no label, rather than a
-    # wrong one
-    trace = flow(dim4_family(name, params).tensor, FlowParams(crit_tol=1e-9))
+    # a residual cut of 1e-9; the flow reports that, with no label, rather
+    # than a wrong one
+    monkeypatch.setattr(sys.modules["skewflow.algebra"], "_RESIDUAL_TOL", 1e-9)
+    trace = flow(dim4_family(name, params).tensor)
     assert not trace.converged and trace.stratum is None
 
 
@@ -708,9 +690,10 @@ GATE_STARTS = {
 
 @pytest.mark.parametrize("name", list(GATE_STARTS))
 def test_gate_admits_every_certified_point(name, monkeypatch):
-    # a certified point has ||g_tan|| <= 24 crit_tol ||R|| up to rounding, so
-    # the gate at 32 crit_tol ||R|| never skips a certificate that could
-    # pass; checked on the start and on each point the flow certifies
+    # a certified point has ||g_tan|| <= 24 _RESIDUAL_TOL ||R|| up to
+    # rounding, so the gate at 32 _RESIDUAL_TOL ||R|| never skips a
+    # certificate that could pass; checked on the start and on each point
+    # the flow certifies
     flow_module = sys.modules["skewflow.flow"]
     certified = []
 
@@ -728,7 +711,8 @@ def test_gate_admits_every_certified_point(name, monkeypatch):
     assert certified
     for mu in certified:
         s = _unit_state(mu)
-        assert s.gnorm <= 24 * FlowParams().crit_tol * np.sqrt(s.f)
+        assert s.gnorm <= 24 * sys.modules["skewflow.algebra"]._RESIDUAL_TOL * np.sqrt(s.f)
+        assert flow_module._may_certify(s)
 
 
 @pytest.mark.parametrize("name", list(GATE_STARTS))

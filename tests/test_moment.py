@@ -191,11 +191,6 @@ class TestCriticality:
         rep = criticality(big)
         assert rep.F_value == pytest.approx(12.0, abs=1e-9)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-    def test_tolerance_must_be_positive_and_finite(self, tol):
-        with pytest.raises(ValueError):
-            criticality(mu_he(3).tensor, tol=tol)
-
 
 def test_gradient_vanishes_tangentially_at_critical_point():
     mu = mu_he(4).tensor.normalized()

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import skewflow
+from skewflow.cli import main
+from skewflow.verify import run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
 USERS = ("src", "demos", "perfbench")
@@ -154,6 +156,25 @@ def test_one_scale_rule():
     assert len(readers) == 1 and "." in next(iter(readers)), readers
     assert clamps == []
     assert "tol" not in inspect.signature(skewflow.semidirect_extension).parameters
+
+
+def test_no_tolerance_settings():
+    # the certificate follows the one scale rule: no call and no command
+    # takes a tolerance of its own
+    signatures = {
+        fn.__name__: list(inspect.signature(fn).parameters)
+        for fn in (skewflow.criticality, skewflow.flow, skewflow.flow_batch,
+                   run_suite)
+    }
+    assert signatures == {
+        "criticality": ["mu"], "flow": ["mu0"], "flow_batch": ["inputs"],
+        "run_suite": ["only", "seed"],
+    }
+    assert not hasattr(skewflow, "FlowParams")
+    for argv in (["flow", "--catalog", "g6"], ["classify", "--catalog", "g6"], ["verify"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--crit-tol", "1e-9"])
+        assert exc.value.code == 1
 
 
 def test_verify_states_no_known_answer():
