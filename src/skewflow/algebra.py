@@ -13,10 +13,13 @@ product used throughout:
 
 over *ordered* index pairs, so each unordered pair (i, j) contributes twice.
 Two array kernels carry the infinitesimal GL(n) action: _delta_coeff for
-the coboundary delta_c(A) and _delta_star_coeff for its adjoint.  Every
-matrix of delta (_delta_matrix, and L = _hermitian_delta_matrix in the real
-coordinates of _to_coords), the moment map and the flow's Hessian are
-built from them.  _act_coeff carries the group action itself.
+the coboundary delta_c(A) and _delta_star_coeff for its adjoint.  The
+moment map and the flow's Hessian are built from them.  The two matrices
+of delta on unit bases (_delta_matrix on the matrix units, and L =
+_hermitian_delta_matrix on _hermitian_units in the real coordinates of
+_to_coords) are gathered from the entries of c by _unit_deltas, which
+gives _delta_coeff's values on those units bit for bit.  _act_coeff
+carries the group action itself.
 """
 
 from __future__ import annotations
@@ -238,15 +241,15 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
-def _delta_matrix(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Matrix of A -> delta_c(A) on the rows (i < j, k), one column per basis matrix.
+def _delta_matrix(c: np.ndarray) -> np.ndarray:
+    """Complex matrix of A -> delta_c(A) on the rows (i < j, k), one column
+    per matrix unit E_ab, in the order of A.ravel().
 
     delta(A) is antisymmetric in (i, j), so its i > j rows are the negatives
     of the i < j ones and its i = j rows vanish; dropping them scales every
     singular value by 1/sqrt(2) and leaves the kernel unchanged.
     """
-    iu, ju = _upper_pairs(c.shape[0])
-    return _delta_coeff(c, basis)[:, iu, ju].reshape(len(basis), -1).T
+    return _unit_deltas(c, hermitian=False).reshape(c.shape[0] ** 2, -1).T
 
 
 def _hermitian_coords(a: np.ndarray) -> np.ndarray:
@@ -283,16 +286,89 @@ def _hermitian_from_coords(x: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=32)
 def _hermitian_units(n: int) -> np.ndarray:
     """The orthonormal hermitian basis with _hermitian_coords the unit vectors.
 
     E_ii, then (E_ij + E_ji) / sqrt(2) and i (E_ij - E_ji) / sqrt(2) for
-    i < j: shape (n^2, n, n), built once per n and read-only.
+    i < j: shape (n^2, n, n).
     """
-    units = _hermitian_from_coords(np.eye(n * n), n)
-    units.flags.writeable = False
-    return units
+    return _hermitian_from_coords(np.eye(n * n), n)
+
+
+@lru_cache(maxsize=32)
+def _unit_maps(n: int, hermitian: bool) -> tuple[np.ndarray, ...]:
+    """Where _unit_deltas reads each unit's entries: (weights, cols, rows, used).
+
+    The units are _hermitian_units(n), or the matrix units E_ab in the
+    order of A.ravel(), each with at most one entry per row and per column.
+    weights holds 0 and their distinct entries.  For unit b, column i holds
+    weights[cols[b, i] // n] in row cols[b, i] % n, and row k holds
+    weights[rows[b, k] // n] in column rows[b, k] % n; an empty one holds
+    weights[0] = 0, and used[b, k] says whether row k holds an entry.
+    O(n^3) entries per n, built once and read-only.  No numpy arithmetic on
+    integers builds or reads them: the first run of a numpy loop pages in
+    its code, and the flows' peak RSS counts those pages.
+    """
+    units = _hermitian_units(n) if hermitian else np.eye(n * n).reshape(n * n, n, n)
+    b, p, q = np.nonzero(units)
+    entries = units[b, p, q].tolist()
+    weights = [0j, *dict.fromkeys(entries)]
+    which = [weights.index(w) * n for w in entries]
+    cols, rows = np.zeros((2, n * n, n), dtype=int)
+    cols[b, q] = [w + i for w, i in zip(which, p.tolist())]
+    rows[b, p] = [w + i for w, i in zip(which, q.tolist())]
+    used = np.zeros((n * n, n), dtype=bool)
+    used[b, p] = True
+    maps = (np.array(weights), cols, rows, used)
+    for m in maps:
+        m.flags.writeable = False
+    return maps
+
+
+_GATHER_CHUNK = 1 << 16  # entries per temporary of _unit_deltas' chunks
+
+
+def _unit_deltas(c: np.ndarray, hermitian: bool) -> np.ndarray:
+    """delta_c on each unit of _unit_maps, gathered from the entries of c.
+
+    Returns d with d[b, t, k] = delta_c(unit b)[iu[t], ju[t], k] over the
+    i < j pairs of _upper_pairs, equal bit for bit to _delta_coeff on the
+    stack of units.  With the entry A[p, i] = w in column i and A[k, q] = v
+    in row k of a unit A, each sum of _delta_coeff's matmuls has at most
+    one nonzero product, so for c exactly antisymmetric (every coefficient
+    array of the package is)
+
+        d = (w c[p, j, k] - h) - (w' c[p', i, k] + h),  h = (v c[i, j, q]) / 2,
+
+    with w, p from column i and w', p' from column j.  The products w c
+    and v c / 2 are formed once per weight and then gathered; h is nonzero
+    only in the unit's rows k, so elsewhere d is the first difference.
+    The matmuls' sums start at +0.0, so their zeros are +0.0; adding 0.0 to
+    the products turns each -0.0 into +0.0, and d's sums and differences
+    then make none.  The work is O(n^5), against O(n^6) for the n^2 units
+    through _delta_coeff, and it runs in chunks of units whose temporaries
+    hold about _GATHER_CHUNK entries each.
+    """
+    n = c.shape[0]
+    iu, ju = _upper_pairs(n)
+    weights, cols, rows, used = _unit_maps(n, hermitian)
+    wc = weights[:, None, None, None] * c
+    wc += 0.0
+    t1 = wc.reshape(len(weights) * n, n, n)  # [(w, p), j, k]
+    t3 = (0.5 * wc)[:, iu, ju].swapaxes(1, 2).reshape(len(weights) * n, len(iu))
+    pairs, swapped = np.array([iu, ju]), np.array([ju, iu])
+    out = np.empty((n * n, len(iu), n), dtype=complex)
+    step = 1 + _GATHER_CHUNK // (len(iu) * n + 1)
+    for start in range(0, n * n, step):
+        units = slice(start, start + step)
+        x = t1[cols[units][:, pairs], swapped]  # the terms of columns i and j
+        d = out[units]
+        np.subtract(x[:, 0], x[:, 1], out=d)
+        rowed = used[units]  # the rows k with an entry: h is 0 elsewhere
+        h = t3[rows[units][rowed]]
+        xk = x.transpose(0, 3, 1, 2)[rowed]
+        d.swapaxes(1, 2)[rowed] = (xk[:, 0] - h) - (xk[:, 1] + h)
+    return out
 
 
 def _to_coords(x: np.ndarray) -> np.ndarray:
@@ -313,11 +389,17 @@ def _hermitian_delta_matrix(c: np.ndarray) -> np.ndarray:
     """Real matrix L of x -> _to_coords(delta_c(_hermitian_from_coords(x, n))).
 
     Its columns are the coordinates of the delta images of _hermitian_units,
-    so L maps isometric coordinates to isometric coordinates.  The one L of
-    the package: DerivationBasis takes its kernel and the flow's Hessian
-    its products.
+    gathered by _unit_deltas and written into L as _to_coords writes them,
+    so L equals _to_coords(_delta_coeff(c, _hermitian_units(n))).T bit for
+    bit, in its memory layout too.  L maps isometric coordinates to
+    isometric coordinates.  The one L of the package: DerivationBasis takes
+    its kernel and the flow's Hessian its products.
     """
-    return _to_coords(_delta_coeff(c, _hermitian_units(c.shape[0]))).T
+    d = _unit_deltas(c, hermitian=True)
+    out = np.empty((len(d), 2, *d.shape[1:]))
+    np.multiply(d.real, np.sqrt(2.0), out=out[:, 0])
+    np.multiply(d.imag, np.sqrt(2.0), out=out[:, 1])
+    return out.reshape(len(d), -1).T
 
 
 def _rank(s: np.ndarray, floor: float = 0.0) -> int:
@@ -385,10 +467,12 @@ class DerivationBasis:
     complex_basis spans Der(mu) over C and hermitian_basis spans the real
     subspace of hermitian derivations, both orthonormal for the Frobenius
     product.  complex_basis is the kernel of _delta_matrix on the matrix
-    units, and hermitian_basis that of _hermitian_delta_matrix in the
-    isometric coordinates of _hermitian_coords, so it is exactly hermitian.
-    Shapes: (dim, n, n).  Each basis builds its system and solves it on
-    first access, then is cached.
+    units, and hermitian_basis that of _hermitian_delta_matrix on
+    _hermitian_units, in the isometric coordinates of _hermitian_coords, so
+    it is exactly hermitian.  Both systems are gathered from the entries of
+    mu by _unit_deltas, bit for bit the values of _delta_coeff on those
+    units.  Shapes: (dim, n, n).  Each basis builds its system and solves
+    it on first access, then is cached.
     """
 
     def __init__(self, mu: StructureTensor):
@@ -397,9 +481,7 @@ class DerivationBasis:
     @cached_property
     def complex_basis(self) -> np.ndarray:
         n = self._c.shape[0]
-        units = np.eye(n * n).reshape(n * n, n, n)
-        rows = _null_rows(_delta_matrix(self._c, units))
-        return rows.reshape(-1, n, n)
+        return _null_rows(_delta_matrix(self._c)).reshape(-1, n, n)
 
     @cached_property
     def hermitian_basis(self) -> np.ndarray:

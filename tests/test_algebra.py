@@ -164,7 +164,7 @@ def test_delta_operator_is_delta_on_upper_pairs(n):
     c = _random_coeff(rng, n)
     a = _rand_matrix(rng, n)
     iu, ju = np.triu_indices(n, k=1)
-    m = algebra._delta_matrix(c, _matrix_units(n))
+    m = algebra._delta_matrix(c)
     assert m.shape == (n * n * (n - 1) // 2, n * n)
     expected = _delta_reference(c, a)[iu, ju].ravel()
     assert np.allclose(m @ a.ravel(), expected, rtol=0, atol=1e-13)
@@ -183,6 +183,54 @@ def test_hermitian_system_is_delta_on_the_orthonormal_basis(n):
         # the isometric coordinates carry each i < j entry scaled by sqrt(2)
         column = (got[:rows, k] + 1j * got[rows:, k]) / np.sqrt(2.0)
         assert np.allclose(column, expected, rtol=0, atol=1e-13)
+
+
+def _unit_basis_inputs():
+    """Random tensors at n = 1..9, every catalog entry, the 29 partition
+    normal forms up to n = 13 and a GL image of each form with n <= 9."""
+    rng = np.random.default_rng(26)
+    for n in range(1, 10):
+        yield f"random({n})", _random_coeff(rng, n)
+    for e in all_entries():
+        yield e.name, e.tensor.coeff
+    for p in _partitions_upto(6):
+        mu = mu_A(nilpotent_normal_form(p)).tensor
+        yield str(p), mu.coeff
+        if mu.dim <= 9:
+            g = np.eye(mu.dim) + 0.3 * _rand_matrix(rng, mu.dim)
+            yield f"gl{p}", act(g, mu).coeff
+
+
+def test_unit_basis_matrices_are_delta_coeff_bit_for_bit():
+    # the gathered matrices are _delta_coeff on the stacks of unit matrices,
+    # byte for byte and in the same memory layout, so every SVD, certificate
+    # and flow downstream reads the same numbers
+    names = []
+    for name, c in _unit_basis_inputs():
+        n = c.shape[0]
+        iu, ju = np.triu_indices(n, k=1)
+        references = (
+            (algebra._hermitian_delta_matrix(c),
+             algebra._to_coords(algebra._delta_coeff(c, algebra._hermitian_units(n))).T),
+            (algebra._delta_matrix(c),
+             algebra._delta_coeff(c, _matrix_units(n))[:, iu, ju].reshape(n * n, -1).T),
+        )
+        for got, ref in references:
+            assert got.shape == ref.shape and got.dtype == ref.dtype, name
+            assert got.flags.f_contiguous == ref.flags.f_contiguous, name
+            assert got.tobytes() == ref.tobytes(), name
+        names.append(name)
+    assert len(names) == 9 + len(all_entries()) + 29 + 20  # 20 forms have n <= 9
+    assert "(1, 1, 1, 1, 1, 1)" in names  # n = 13
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_unit_maps_hold_order_n3_entries(hermitian):
+    # the gather's per-n cache holds O(n^3) entries: indices of the n^5
+    # gathered entries, cached per n, would outweigh the matrices they build
+    for n in (1, 4, 13):
+        maps = algebra._unit_maps(n, hermitian)
+        assert sum(m.size for m in maps) <= 3 * n**3 + 5
 
 
 @settings(max_examples=60, deadline=None)
@@ -365,7 +413,7 @@ NULLITY_IDS = ["partition-n13", "partition-n8", "random-n8", "random-n2"]
 def _delta_systems(mu):
     """The complex and the hermitian real system whose kernels are Der(mu)."""
     return (
-        algebra._delta_matrix(mu.coeff, _matrix_units(mu.dim)),
+        algebra._delta_matrix(mu.coeff),
         algebra._hermitian_delta_matrix(mu.coeff),
     )
 

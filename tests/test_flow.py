@@ -715,6 +715,25 @@ def test_gate_admits_every_certified_point(name, monkeypatch):
         assert flow_module._may_certify(s)
 
 
+def test_gate_admits_a_certificate_near_its_bound():
+    # n4 with its [e1, e3] coefficient 1 + eps is n4 in a diagonal basis, so
+    # diag(1, 2, 3, 4) stays a hermitian derivation, and its residual is
+    # eps ||R|| with ||g_tan|| = sqrt(96) eps ||R||.  At eps = 9e-9 the point
+    # certifies with ||g_tan|| above 8 _RESIDUAL_TOL ||R||: a gate at a
+    # factor of 8 or less would skip a certificate that passes, and the
+    # flow would descend from a critical start
+    flow_module = sys.modules["skewflow.flow"]
+    tol = sys.modules["skewflow.algebra"]._RESIDUAL_TOL
+    mu = StructureTensor.from_brackets(4, {(0, 1): {2: 1.0}, (0, 2): {3: 1.0 + 9e-9}})
+    s = _unit_state(mu)
+    assert criticality(mu).is_critical
+    assert 8 * tol * np.sqrt(s.f) < s.gnorm <= 24 * tol * np.sqrt(s.f)
+    assert flow_module._may_certify(s)
+    trace = flow(mu)
+    assert trace.converged and len(trace.samples) == 1
+    assert trace.stratum == CriticalType((1, 2, 3, 4), (1, 1, 1, 1))
+
+
 @pytest.mark.parametrize("name", list(GATE_STARTS))
 def test_at_most_one_polish(name, monkeypatch):
     # the descent hands over to Newton once, whatever the polish certifies

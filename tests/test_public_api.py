@@ -142,6 +142,22 @@ def test_one_hessian():
     assert builders == ["_hessian"]
 
 
+def test_one_unit_gather():
+    # delta's matrices on unit bases are gathered from c by one function,
+    # in O(n^5): no call hands _delta_coeff a stack of unit matrices, whose
+    # batched matmuls cost O(n^6), and only the gather builds the units
+    kernel_calls = [
+        f"{where}: {ast.unparse(node)}" for node, where in _package_nodes()
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_delta_coeff"
+    ]
+    assert not [call for call in kernel_calls if "units" in call or "eye" in call]
+    assert not [call for call in kernel_calls if "delta_matrix" in call.split(":")[0]]
+    assert _readers("_unit_deltas") == {
+        "algebra._delta_matrix", "algebra._hermitian_delta_matrix"
+    }
+    assert _readers("_hermitian_units") == {"algebra._unit_maps"}
+
+
 def test_one_scale_rule():
     # every residual test goes through the one function that reads
     # _RESIDUAL_TOL, against its inputs' norms: no scale is clamped at 1,
